@@ -4,9 +4,7 @@ __version__ = "0.1.0"
 
 from .linalg import (
     DensityMatrix,
-    Spectrum,
     basis_state,
-    eigh,
     maximally_coherent,
     partial_trace,
     pure_state,

@@ -12,7 +12,7 @@ from .errors import (
     IncompleteChannel,
     InfeasiblePattern,
 )
-from .linalg import DensityMatrix, validate_density
+from .linalg import DensityMatrix, _require_finite, validate_density
 from .parallel import indexed_map
 from .rand import as_rng, child_rng, ginibre_mixed, random_hermitian, _complex_normal
 
@@ -52,6 +52,7 @@ def validate_channel(ops, atol: float = COMPLETENESS_ATOL) -> KrausChannel:
     for m in ops:
         if m.ndim != 2 or m.shape != (dim_out, dim_in):
             raise DimensionMismatch(f"inconsistent Kraus shapes: {[m.shape for m in ops]}")
+        _require_finite(m)
     res = completeness_residual(ops)
     if res > atol:
         raise IncompleteChannel(f"completeness residual {res:.3e} exceeds {atol:.1e}")
@@ -178,10 +179,19 @@ def random_channel(dim: int, n_kraus: int, rng) -> KrausChannel:
     """
     rng = as_rng(rng)
     blocks = [_complex_normal(rng, (dim, dim)) for _ in range(n_kraus)]
-    g = sum(a.conj().T @ a for a in blocks)
+    return validate_channel(normalize_kraus(blocks))
+
+
+def normalize_kraus(ops) -> list:
+    """Right-multiply every operator by (sum_n A_n^dag A_n)^(-1/2).
+
+    The results satisfy completeness; where the correction is diagonal, each
+    operator keeps its support pattern.
+    """
+    g = sum(a.conj().T @ a for a in ops)
     w, v = np.linalg.eigh(g)
     g_isqrt = (v / np.sqrt(w)) @ v.conj().T
-    return validate_channel([a @ g_isqrt for a in blocks])
+    return [a @ g_isqrt for a in ops]
 
 
 def monotonicity_sweep(
@@ -190,7 +200,6 @@ def monotonicity_sweep(
     dim: int,
     seed: int,
     n_kraus: int | None = None,
-    threads: int = 1,
 ) -> list:
     """Seeded sweep of monotonicity checks over random incoherent channels.
 
@@ -209,4 +218,4 @@ def monotonicity_sweep(
             obs = validate_observable(random_hermitian(dim, rng))
         return monotonicity_check(ch, rho, measure=measure, observable=obs)
 
-    return indexed_map(one, samples, threads)
+    return indexed_map(one, samples)

@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Every run with identical arguments, seed and thread count is byte-identical;
+Every run with identical arguments and seed is byte-identical;
 each output artifact embeds the seed, package version and the effective
 configuration.  Single results print as JSON, sweeps emit CSV (to stdout, or
 to ``--out`` with a summary on stdout).  Validation failures exit with code 2
@@ -23,9 +23,10 @@ from .measurement import estimate_measures, true_measures
 from .metrology import metrology_report
 from .channels import monotonicity_check, monotonicity_sweep
 from .polygamy import sweep_polygamy, sweep_summary
-from .serialize import read_observable, read_state
+from .serialize import matrix_to_obj, read_observable, read_state
 
 ENV_SEED = "COHLAB_SEED"
+THREADS_HELP = "accepted and ignored: sweeps run in one thread"
 
 
 def _resolve_seed(args) -> int:
@@ -108,7 +109,7 @@ def cmd_sweep(args) -> int:
     seed = _resolve_seed(args)
     dims = _parse_dims(args.dims)
     meta = _meta(seed, kind=args.kind, dims=list(dims), samples=args.samples)
-    records = sweep_polygamy(dims, args.samples, seed, threads=args.threads)
+    records = sweep_polygamy(dims, args.samples, seed)
     columns = ["sample", "dimA", "dimB", "c12", "c1", "c2", "gap",
                "lambda_min", "rank", "cs", "gap_cor1_sym"]
     lines = _csv_header(meta, columns)
@@ -136,8 +137,7 @@ def cmd_monotonicity(args) -> int:
         rows = [(args.fixture, verdict)]
     else:
         meta = _meta(seed, measure=args.measure, samples=args.samples, dim=args.dim)
-        verdicts = monotonicity_sweep(args.measure, args.samples, args.dim, seed,
-                                      threads=args.threads)
+        verdicts = monotonicity_sweep(args.measure, args.samples, args.dim, seed)
         rows = list(enumerate(verdicts))
     lines = _csv_header(meta, columns)
     for key, v in rows:
@@ -172,10 +172,7 @@ def cmd_discord(args) -> int:
         "value": result.value,
         "converged": result.converged,
         "restarts_used": result.restarts_used,
-        "basis": {
-            "u_a": {"re": result.basis.u_a.real.tolist(), "im": result.basis.u_a.imag.tolist()},
-            "u_b": {"re": result.basis.u_b.real.tolist(), "im": result.basis.u_b.imag.tolist()},
-        },
+        "basis": {"u_a": matrix_to_obj(result.basis.u_a), "u_b": matrix_to_obj(result.basis.u_b)},
         "meta": _meta(seed, mode=args.mode, restarts=args.restarts,
                       dims=list(dims), fixture=args.fixture, input=args.input),
     }
@@ -232,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default=None)
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    p.add_argument("--threads", type=int, default=1, help=THREADS_HELP)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("monotonicity", help="selective-channel monotonicity checks")
@@ -242,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--fixture", default=None)
     p.add_argument("--out", default=None)
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    p.add_argument("--threads", type=int, default=1, help=THREADS_HELP)
     p.set_defaults(func=cmd_monotonicity)
 
     p = sub.add_parser("discord", help="minimize coherence over local bases")

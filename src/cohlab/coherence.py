@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateState, DimensionMismatch, NotHermitian
-from .linalg import DensityMatrix, sqrtm, validate_density
+from .linalg import DensityMatrix, _require_finite, sqrtm, validate_density
 
 UNITARY_ATOL = 1e-9
 
@@ -37,6 +37,7 @@ def validate_observable(entries, atol: float = UNITARY_ATOL) -> Observable:
     a = np.asarray(entries, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
+    _require_finite(a)
     err = float(np.abs(a - a.conj().T).max())
     if err > atol:
         raise NotHermitian(f"max |K - K^dag| = {err:.3e} exceeds {atol:.1e}")
@@ -51,6 +52,7 @@ def check_unitary(u, dim: int | None = None, atol: float = UNITARY_ATOL) -> np.n
         raise DimensionMismatch(f"expected a square matrix, got shape {u.shape}")
     if dim is not None and u.shape[0] != dim:
         raise DimensionMismatch(f"unitary is {u.shape[0]}-dimensional, expected {dim}")
+    _require_finite(u)
     err = float(np.abs(u.conj().T @ u - np.eye(u.shape[0])).max())
     if err > atol:
         raise DimensionMismatch(f"matrix is not unitary: residual {err:.3e}")

@@ -21,7 +21,6 @@ from .errors import DimensionMismatch, NotIncoherentChannel
 from .linalg import DensityMatrix, partial_trace, sqrtm, tensor
 from .rand import as_rng
 
-PURE_TOL = 1e-10
 CONVERGENCE_GAP = 1e-5
 
 
@@ -56,17 +55,10 @@ def _split_dims(rho: DensityMatrix, dims) -> tuple[int, int]:
     return da, db
 
 
-def _sqrt_for(rho: DensityMatrix) -> np.ndarray:
-    # rank-one shortcut: sqrt(rho) = rho, avoids sqrtm noise at rank deficiency
-    if rho.purity() >= 1.0 - PURE_TOL:
-        return rho.mat
-    return sqrtm(rho)
-
-
 def subsystem_coherence(rho_ab: DensityMatrix, dims, u=None) -> float:
     """Summed skew information with the projectors U|k><k|U^dag (x) I_B."""
     da, db = _split_dims(rho_ab, dims)
-    t = _sqrt_for(rho_ab).reshape(da, db, da, db)
+    t = sqrtm(rho_ab).reshape(da, db, da, db)
     if u is not None:
         u = check_unitary(u, da)
         t = np.einsum("xa,xbyd,yc->abcd", u.conj(), t, u)
@@ -77,7 +69,7 @@ def subsystem_coherence(rho_ab: DensityMatrix, dims, u=None) -> float:
 def product_basis_coherence(rho_ab: DensityMatrix, dims, basis: LocalBasis | None = None) -> float:
     """Joint coherence in a local product basis; the identity basis gives c_skew."""
     da, db = _split_dims(rho_ab, dims)
-    s = _sqrt_for(rho_ab)
+    s = sqrtm(rho_ab)
     if basis is not None:
         w = np.kron(check_unitary(basis.u_a, da), check_unitary(basis.u_b, db))
         d = np.einsum("ij,ik,kj->j", w.conj(), s, w)
@@ -163,7 +155,7 @@ def discord_sym(
 ) -> DiscordResult:
     """Symmetric discord: minimal joint coherence over local product bases."""
     da, db = _split_dims(rho_ab, dims)
-    s = _sqrt_for(rho_ab)
+    s = sqrtm(rho_ab)
     na, nb = da * da, db * db
 
     def objective(x):
@@ -187,7 +179,7 @@ def discord_asym(
 ) -> DiscordResult:
     """Asymmetric discord: minimal A-subspace coherence over bases of A."""
     da, db = _split_dims(rho_ab, dims)
-    t = _sqrt_for(rho_ab).reshape(da, db, da, db)
+    t = sqrtm(rho_ab).reshape(da, db, da, db)
     na = da * da
 
     def objective(x):

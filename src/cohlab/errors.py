@@ -5,6 +5,10 @@ class CohlabError(ValueError):
     """Base class for all cohlab errors."""
 
 
+class NotFinite(CohlabError):
+    """Matrix has a NaN or infinite entry."""
+
+
 class NotHermitian(CohlabError):
     """Matrix deviates from its conjugate transpose beyond tolerance."""
 

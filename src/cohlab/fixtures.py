@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import KrausChannel, apply, monotonicity_check, validate_channel
+from .channels import KrausChannel, apply, monotonicity_check, normalize_kraus, validate_channel
 from .coherence import Observable, c_skew, validate_observable
 from .discord import discord_sym, generalized_cnot
 from .errors import UnknownFixture
@@ -74,11 +74,7 @@ def k_coherence_counterexample() -> tuple[DensityMatrix, KrausChannel, Observabl
     (sum_n M_n^dag M_n)^(-1/2); the correction matrix is diagonal here, so
     the single-entry column pattern (hence incoherence) is untouched.
     """
-    m1, m2 = printed_counterexample_ops()
-    g = m1.conj().T @ m1 + m2.conj().T @ m2
-    w, v = np.linalg.eigh(g)
-    g_isqrt = (v / np.sqrt(w)) @ v.conj().T
-    channel = validate_channel([m1 @ g_isqrt, m2 @ g_isqrt])
+    channel = validate_channel(normalize_kraus(printed_counterexample_ops()))
     return (
         validate_density(COUNTEREXAMPLE_RHO),
         channel,

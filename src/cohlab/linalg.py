@@ -15,6 +15,7 @@ import numpy as np
 from .errors import (
     ConvergenceFailure,
     DimensionMismatch,
+    NotFinite,
     NotHermitian,
     NotPSD,
     NotUnitTrace,
@@ -27,6 +28,29 @@ RANK_TOL = 1e-10
 def _frozen(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
+
+
+def _require_finite(a: np.ndarray):
+    """Raise ``NotFinite`` if any entry is NaN or infinite.
+
+    Validators call this before their tolerance checks, since ``err > atol``
+    is false when ``err`` is NaN.
+    """
+    if not np.isfinite(a).all():
+        raise NotFinite("matrix has NaN or infinite entries")
+
+
+def _clean_spectrum(w: np.ndarray) -> np.ndarray:
+    """Roundoff rule for the eigenvalues of unit-trace PSD matrices.
+
+    Clips negatives to zero, zeroes eigenvalues at roundoff scale relative to
+    the largest (they would pollute sqrt(rho) at the sqrt scale) and
+    renormalizes.  ``w`` is one spectrum or a stack of spectra along the last
+    axis.
+    """
+    w = np.clip(w, 0.0, None)
+    w = np.where(w < w.max(axis=-1, keepdims=True) * 1e-14, 0.0, w)
+    return w / w.sum(axis=-1, keepdims=True)
 
 
 def _eigh_desc(mat: np.ndarray):
@@ -75,26 +99,19 @@ class DensityMatrix:
         return (np.abs(self.eigenvectors) ** 2) @ np.sqrt(self.eigenvalues)
 
 
-@dataclass(frozen=True)
-class Spectrum:
-    """Descending eigenvalues, matching eigenvector columns and rank."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-    rank: int
-
-
 def validate_density(entries, atol: float = ATOL) -> DensityMatrix:
     """Validate and canonicalize a density matrix.
 
     Symmetrizes roundoff-level Hermiticity drift, clips eigenvalues in
-    [-atol, 0) to zero, renormalizes the spectrum and rebuilds the matrix.
-    Violations beyond ``atol`` raise ``NotHermitian``, ``NotUnitTrace`` or
+    [-atol, 0) to zero, zeroes roundoff-scale ones, renormalizes the spectrum
+    and rebuilds the matrix.  Non-finite entries raise ``NotFinite``;
+    violations beyond ``atol`` raise ``NotHermitian``, ``NotUnitTrace`` or
     ``NotPSD``.
     """
     a = np.asarray(entries, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
         raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
+    _require_finite(a)
     herm_err = float(np.abs(a - a.conj().T).max())
     if herm_err > atol:
         raise NotHermitian(f"max |A - A^dag| = {herm_err:.3e} exceeds {atol:.1e}")
@@ -105,18 +122,10 @@ def validate_density(entries, atol: float = ATOL) -> DensityMatrix:
     w, v = _eigh_desc(h)
     if w[-1] < -atol:
         raise NotPSD(f"min eigenvalue = {w[-1]:.3e}")
-    w = np.clip(w, 0.0, None)
-    # roundoff-scale eigenvalues would pollute sqrt(rho) at the sqrt scale
-    w[w < w[0] * 1e-14] = 0.0
-    w = w / w.sum()
+    w = _clean_spectrum(w)
     mat = (v * w) @ v.conj().T
     mat = (mat + mat.conj().T) / 2.0
     return DensityMatrix(_frozen(mat), _frozen(w), _frozen(v))
-
-
-def eigh(rho: DensityMatrix) -> Spectrum:
-    """Spectral decomposition of a validated state (eigenvalues descending)."""
-    return Spectrum(rho.eigenvalues, rho.eigenvectors, rho.rank)
 
 
 def sqrtm(rho: DensityMatrix) -> np.ndarray:

@@ -1,17 +1,11 @@
-"""Index-keyed parallel map with schedule-independent results."""
+"""Index-keyed map over sample indices."""
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 
+def indexed_map(fn, n: int) -> list:
+    """Apply ``fn`` to 0..n-1 in order and return the results in a list.
 
-def indexed_map(fn, n: int, threads: int = 1) -> list:
-    """Apply ``fn`` to 0..n-1 and return results in index order.
-
-    Sample functions must derive all randomness from their index (child
-    seeds), so the result list is identical for any thread count.
+    Sample functions derive all randomness from their index (child seeds).
     """
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, range(n)))
     return [fn(i) for i in range(n)]

@@ -16,7 +16,7 @@ import numpy as np
 
 from .coherence import c_skew
 from .errors import BadPartition, DimensionMismatch, NotPure
-from .linalg import RANK_TOL, DensityMatrix, partial_trace, pure_state, validate_density
+from .linalg import RANK_TOL, DensityMatrix, _clean_spectrum, partial_trace, validate_density
 from .parallel import indexed_map
 from .rand import child_rng, ginibre_mixed
 
@@ -47,10 +47,29 @@ def pure_polygamy_gap(psi: DensityMatrix, dims) -> float:
 def _coherence_of_stack(stack: np.ndarray) -> np.ndarray:
     """c_skew of a stack of small PSD unit-trace matrices, batched."""
     w, v = np.linalg.eigh(stack)
-    w = np.clip(w, 0.0, None)
-    w = w / w.sum(axis=-1, keepdims=True)
+    w = _clean_spectrum(w)
     sdiag = np.einsum("...km,...m->...k", np.abs(v) ** 2, np.sqrt(w))
     return 1.0 - np.sum(sdiag**2, axis=-1)
+
+
+def _eigenstate_marginal_coherences(rho: DensityMatrix, dims, left) -> tuple[int, float, float]:
+    """Rank r and the summed c_skew of both marginals of rho's eigenstates.
+
+    ``left`` lists the positions in ``dims`` of the first block.  Each
+    eigenvector above the rank tolerance becomes a (d_left, d_right)
+    amplitude matrix psi with marginals psi psi^dag and psi^T psi^*; ties in
+    degenerate spectra follow the eigendecomposition as returned.
+    """
+    dims = [int(d) for d in dims]
+    right = [i for i in range(len(dims)) if i not in left]
+    keep = rho.eigenvalues > RANK_TOL
+    r = int(np.count_nonzero(keep))
+    d_left = int(np.prod([dims[i] for i in left]))
+    psi = rho.eigenvectors[:, keep].T.reshape([r] + dims)
+    psi = psi.transpose([0] + [i + 1 for i in list(left) + right]).reshape(r, d_left, -1)
+    sum_left = np.sum(_coherence_of_stack(np.einsum("ibk,ick->ibc", psi, psi.conj())))
+    sum_right = np.sum(_coherence_of_stack(np.einsum("ikb,ikc->ibc", psi, psi.conj())))
+    return r, float(sum_left), float(sum_right)
 
 
 @dataclass(frozen=True)
@@ -104,14 +123,7 @@ def bipartite_record(rho_ab: DensityMatrix, dims) -> PolygamyRecord:
     c_a = c_skew(partial_trace(rho_ab, [da, db], [0]))
     c_b = c_skew(partial_trace(rho_ab, [da, db], [1]))
 
-    w = rho_ab.eigenvalues
-    keep = w > RANK_TOL
-    r = int(np.count_nonzero(keep))
-    psi = rho_ab.eigenvectors[:, keep].T.reshape(r, da, db)
-    rho_ai = np.einsum("ibk,ick->ibc", psi, psi.conj())
-    rho_bi = np.einsum("ikb,ikc->ibc", psi, psi.conj())
-    sum_a = float(np.sum(_coherence_of_stack(rho_ai)))
-    sum_b = float(np.sum(_coherence_of_stack(rho_bi)))
+    r, sum_a, sum_b = _eigenstate_marginal_coherences(rho_ab, (da, db), [0])
 
     d = rho_ab.diag()
     return PolygamyRecord(
@@ -126,7 +138,7 @@ def bipartite_record(rho_ab: DensityMatrix, dims) -> PolygamyRecord:
         sum_eig_coh_b=sum_b,
         c_s=(r - sum_a) * (r - sum_b),
         diag_sq_sum=float(d @ d),
-        eigenvalues=tuple(float(x) for x in w),
+        eigenvalues=tuple(float(x) for x in rho_ab.eigenvalues),
     )
 
 
@@ -169,22 +181,8 @@ def _reduced(rho: DensityMatrix, dims, subs) -> DensityMatrix:
 
 
 def _split_coefficients(st: DensityMatrix, node_dims, left_pos) -> tuple[float, float]:
-    """(lambda_min, c_s) of one bipartite split of a node state.
-
-    c_s sums the left/right marginal coherences of the node state's
-    eigenstates above the rank tolerance; ties in degenerate spectra follow
-    the eigendecomposition as returned.
-    """
-    right_pos = [i for i in range(len(node_dims)) if i not in left_pos]
-    w = st.eigenvalues
-    keep = np.nonzero(w > RANK_TOL)[0]
-    r = len(keep)
-    sum_l = 0.0
-    sum_r = 0.0
-    for i in keep:
-        eigenstate = pure_state(st.eigenvectors[:, i])
-        sum_l += c_skew(partial_trace(eigenstate, node_dims, left_pos))
-        sum_r += c_skew(partial_trace(eigenstate, node_dims, right_pos))
+    """(lambda_min, c_s) of one bipartite split of a node state."""
+    r, sum_l, sum_r = _eigenstate_marginal_coherences(st, node_dims, left_pos)
     return st.min_nonzero_eigenvalue(), (r - sum_l) * (r - sum_r)
 
 
@@ -254,14 +252,14 @@ def partition_check(rho: DensityMatrix, dims, tree, tol: float = GAP_TOL) -> dic
     }
 
 
-def sweep_polygamy(dims, n_samples: int, seed: int, threads: int = 1) -> list:
+def sweep_polygamy(dims, n_samples: int, seed: int) -> list:
     """Seeded sweep of bipartite records over Ginibre mixed states."""
     da, db = (int(d) for d in dims)
 
     def one(i: int) -> PolygamyRecord:
         return bipartite_record(ginibre_mixed(da * db, child_rng(seed, i)), (da, db))
 
-    return indexed_map(one, n_samples, threads)
+    return indexed_map(one, n_samples)
 
 
 def sweep_summary(records) -> dict:

@@ -18,13 +18,10 @@ from .errors import ParseError
 from .linalg import DensityMatrix, validate_density
 
 
-def _matrix_obj(mat: np.ndarray) -> dict:
+def matrix_to_obj(mat) -> dict:
+    """``{"re": [[...]], "im": [[...]]}`` of a matrix, row-major."""
     m = np.asarray(mat, dtype=complex)
-    return {
-        "dim": int(m.shape[0]),
-        "re": [[float(x) for x in row] for row in m.real],
-        "im": [[float(x) for x in row] for row in m.imag],
-    }
+    return {"re": m.real.tolist(), "im": m.imag.tolist()}
 
 
 def _obj_matrix(obj, square: bool = True) -> np.ndarray:
@@ -49,7 +46,7 @@ def load_json(path: str):
 
 
 def state_to_obj(rho: DensityMatrix) -> dict:
-    return _matrix_obj(rho.mat)
+    return {"dim": rho.dim, **matrix_to_obj(rho.mat)}
 
 
 def write_state(path: str, rho: DensityMatrix):
@@ -69,11 +66,7 @@ def channel_to_obj(ch: KrausChannel) -> dict:
     return {
         "dim_in": ch.dim_in,
         "dim_out": ch.dim_out,
-        "ops": [
-            {"re": [[float(x) for x in row] for row in m.real],
-             "im": [[float(x) for x in row] for row in m.imag]}
-            for m in ch.operators
-        ],
+        "ops": [matrix_to_obj(m) for m in ch.operators],
     }
 
 

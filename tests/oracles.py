@@ -62,6 +62,31 @@ def product_coherence_commutator(mat, dims, ua=None, ub=None):
     return float(total)
 
 
+def schmidt_marginal_coherences(vectors, dims, left):
+    """Summed skew coherence of both marginals of each column of ``vectors``.
+
+    Each column is reshaped into a (d_left, d_right) amplitude matrix
+    psi = U S V^dag (SVD), so sqrt(rho_left) = U S U^dag and
+    sqrt(rho_right) = V^* S V^T with S normalized to unit length; no
+    eigendecomposition is involved.  ``left`` lists the subsystem positions
+    of the first block.  Returns (sum over columns of C(left), of C(right)).
+    """
+    dims = list(dims)
+    right = [i for i in range(len(dims)) if i not in left]
+    d_left = int(np.prod([dims[i] for i in left]))
+    sum_left = sum_right = 0.0
+    for v in np.asarray(vectors).T:
+        psi = v.reshape(dims).transpose(list(left) + right).reshape(d_left, -1)
+        u, s, vh = np.linalg.svd(psi)
+        s = s / np.linalg.norm(s)
+        k = len(s)
+        diag_left = (np.abs(u[:, :k]) ** 2) @ s
+        diag_right = (np.abs(vh[:k, :]) ** 2).T @ s
+        sum_left += 1.0 - float(diag_left @ diag_left)
+        sum_right += 1.0 - float(diag_right @ diag_right)
+    return sum_left, sum_right
+
+
 def uhlmann_fidelity(a, b):
     sa = psd_sqrt(a)
     inner = sa @ np.asarray(b, dtype=complex) @ sa

@@ -106,6 +106,22 @@ def test_compute_malformed_exits_2(tmp_path):
     assert json.loads(out)["error"] == "ParseError"
 
 
+@pytest.mark.parametrize("entries", [
+    [[np.nan, 0.0], [0.0, 1.0]],
+    [[0.5, np.nan], [np.nan, 0.5]],
+    [[0.5, np.inf], [np.inf, 0.5]],
+    [[np.inf, 0.0], [0.0, 1.0]],
+], ids=["nan-diagonal", "nan-offdiagonal", "inf-offdiagonal", "inf-diagonal"])
+def test_compute_non_finite_exits_2(tmp_path, entries):
+    path = tmp_path / "non_finite.json"
+    path.write_text(json.dumps({"dim": 2, "re": entries, "im": [[0.0, 0.0], [0.0, 0.0]]}))
+    code, out = run_cli(["compute", "--input", str(path)])
+    assert code == 2
+    err = json.loads(out)
+    assert err["error"] == "NotFinite"
+    assert err["detail"]
+
+
 def test_fixture_reports_exist_for_all_names():
     for name in FIXTURE_NAMES:
         rows = fixture_report(name, seed=0)

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from cohlab import (
     RandomStateSpec,
     basis_state,
     child_rng,
-    eigh,
     ginibre_mixed,
     haar_pure,
     maximally_coherent,
@@ -17,8 +19,11 @@ from cohlab import (
     tensor,
     validate_density,
 )
+from cohlab.channels import validate_channel
+from cohlab.coherence import check_unitary, validate_observable
 from cohlab.errors import (
     DimensionMismatch,
+    NotFinite,
     NotHermitian,
     NotPSD,
     NotUnitTrace,
@@ -64,15 +69,32 @@ def test_validate_clips_roundoff_negatives():
     assert abs(rho.eigenvalues.sum() - 1.0) < 1e-15
 
 
+@st.composite
+def _non_finite_matrices(draw):
+    n = draw(st.integers(1, 4))
+    finite = arrays(float, (n, n), elements=st.floats(-1e3, 1e3))
+    m = draw(finite) + 1j * draw(finite)
+    i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    part = m.real if draw(st.booleans()) else m.imag
+    part[i, j] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    return m
+
+
+@given(_non_finite_matrices())
+def test_validators_reject_non_finite_entries(m):
+    for validate in (validate_density, validate_observable, check_unitary,
+                     lambda a: validate_channel([a])):
+        with pytest.raises(NotFinite):
+            validate(m)
+
+
 def test_eigh_descending_and_reconstruction():
-    spec = eigh(validate_density(np.diag([0.3, 0.7])))
-    assert np.allclose(spec.eigenvalues, [0.7, 0.3])
+    rho = validate_density(np.diag([0.3, 0.7]))
+    assert np.allclose(rho.eigenvalues, [0.7, 0.3])
     plus = maximally_coherent(2)
-    spec = eigh(plus)
-    assert np.allclose(spec.eigenvalues, [1.0, 0.0], atol=1e-12)
+    assert np.allclose(plus.eigenvalues, [1.0, 0.0], atol=1e-12)
     rho = ginibre_mixed(5, 3)
-    spec = eigh(rho)
-    v, w = spec.eigenvectors, spec.eigenvalues
+    v, w = rho.eigenvectors, rho.eigenvalues
     assert np.abs(v.conj().T @ v - np.eye(5)).max() < 1e-9
     assert np.abs((v * w) @ v.conj().T - rho.mat).max() < 1e-8
 

