@@ -17,7 +17,7 @@ import sys
 from . import __version__
 from .coherence import coherence_report, k_coherence
 from .discord import discord_asym, discord_sym
-from .errors import CohlabError, DimensionMismatch
+from .errors import CohlabError, DimensionMismatch, NotFinite
 from .fixtures import fixture_report, k_coherence_counterexample
 from .measurement import estimate_measures, true_measures
 from .metrology import metrology_report
@@ -41,7 +41,11 @@ def _meta(seed: int, **config) -> dict:
 
 
 def _print_json(obj):
-    print(json.dumps(obj, indent=2))
+    try:
+        text = json.dumps(obj, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise NotFinite(f"result has NaN or infinite values: {exc}") from exc
+    print(text)
 
 
 def _parse_dims(text: str) -> tuple[int, int]:

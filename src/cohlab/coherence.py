@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateState, DimensionMismatch, NotHermitian
-from .linalg import DensityMatrix, _require_finite, sqrtm, validate_density
+from .linalg import DensityMatrix, _require_finite, _sqrt_diag, sqrtm, validate_density
 
 UNITARY_ATOL = 1e-9
 
@@ -81,8 +81,13 @@ def c_skew(rho: DensityMatrix, basis=None) -> float:
     """Skew-information coherence, ``1 - sum_k <k|sqrt(rho)|k>^2``."""
     if basis is not None:
         rho = rotated(rho, basis)
-    s = rho.sqrt_diag()
-    return float(1.0 - s @ s)
+    return float(_c_skew_of(rho.eigenvalues, rho.eigenvectors))
+
+
+def _c_skew_of(w: np.ndarray, v: np.ndarray):
+    """c_skew from a spectrum ``(w, v)``, one state or a stack of them."""
+    s = _sqrt_diag(w, v)
+    return 1.0 - (s[..., None, :] @ s[..., :, None])[..., 0, 0]
 
 
 def optimal_incoherent_state(rho: DensityMatrix) -> DensityMatrix:

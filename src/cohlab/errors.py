@@ -6,7 +6,7 @@ class CohlabError(ValueError):
 
 
 class NotFinite(CohlabError):
-    """Matrix has a NaN or infinite entry."""
+    """Input or result has a NaN or infinite entry."""
 
 
 class NotHermitian(CohlabError):

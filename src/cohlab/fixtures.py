@@ -203,6 +203,16 @@ def _report_cnot(seed: int = 0) -> list:
     ]
 
 
+def _report_block(seed: int = 0) -> list:
+    fx = block_unitary_example()
+    result = discord_sym(fx["rho_f"], (2, 2), seed=seed)
+    return [
+        _row("discord_sym", result.value, fx["expected_discord"], 1e-6),
+        _row("bound", fx["bound"], 0.75, 1e-10),
+        _row("below_budget", result.value < fx["bound"], True),
+    ]
+
+
 def _report_max_coherent() -> list:
     from .polygamy import pure_polygamy_gap
 
@@ -215,17 +225,18 @@ def _report_max_coherent() -> list:
     ]
 
 
-FIXTURE_NAMES = ("appendix-a", "appendix-d", "theorem3-cnot", "max-coherent-3x3")
+_REPORTS = {
+    "appendix-a": lambda seed: _report_counterexample(),
+    "appendix-d": lambda seed: _report_qubit_mixture(),
+    "theorem3-cnot": _report_cnot,
+    "theorem3-block": _report_block,
+    "max-coherent-3x3": lambda seed: _report_max_coherent(),
+}
+FIXTURE_NAMES = tuple(_REPORTS)
 
 
 def fixture_report(name: str, seed: int = 0) -> list:
     """Computed-vs-expected rows for a bundled fixture."""
-    if name == "appendix-a":
-        return _report_counterexample()
-    if name == "appendix-d":
-        return _report_qubit_mixture()
-    if name == "theorem3-cnot":
-        return _report_cnot(seed)
-    if name == "max-coherent-3x3":
-        return _report_max_coherent()
-    raise UnknownFixture(f"unknown fixture {name!r}; choose from {FIXTURE_NAMES}")
+    if name not in _REPORTS:
+        raise UnknownFixture(f"unknown fixture {name!r}; choose from {FIXTURE_NAMES}")
+    return _REPORTS[name](seed)

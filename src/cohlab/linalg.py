@@ -37,7 +37,7 @@ def _require_finite(a: np.ndarray):
     is false when ``err`` is NaN.
     """
     if not np.isfinite(a).all():
-        raise NotFinite("matrix has NaN or infinite entries")
+        raise NotFinite("input has NaN or infinite entries")
 
 
 def _clean_spectrum(w: np.ndarray) -> np.ndarray:
@@ -48,18 +48,9 @@ def _clean_spectrum(w: np.ndarray) -> np.ndarray:
     renormalizes.  ``w`` is one spectrum or a stack of spectra along the last
     axis.
     """
-    w = np.clip(w, 0.0, None)
+    w = np.maximum(w, 0.0)
     w = np.where(w < w.max(axis=-1, keepdims=True) * 1e-14, 0.0, w)
     return w / w.sum(axis=-1, keepdims=True)
-
-
-def _eigh_desc(mat: np.ndarray):
-    """Eigendecomposition with eigenvalues in descending order."""
-    try:
-        w, v = np.linalg.eigh(mat)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(f"eigendecomposition did not converge: {exc}") from exc
-    return np.ascontiguousarray(w[::-1]), np.ascontiguousarray(v[:, ::-1])
 
 
 @dataclass(frozen=True)
@@ -96,7 +87,12 @@ class DensityMatrix:
 
     def sqrt_diag(self) -> np.ndarray:
         """Diagonal entries of the PSD square root of the state."""
-        return (np.abs(self.eigenvectors) ** 2) @ np.sqrt(self.eigenvalues)
+        return _sqrt_diag(self.eigenvalues, self.eigenvectors)
+
+
+def _sqrt_diag(w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Diagonal of sqrt(rho) from ``(w, v)``; a stack gets each state's bits (einsum would not)."""
+    return ((np.abs(v) ** 2) @ np.sqrt(w)[..., None])[..., 0]
 
 
 def validate_density(entries, atol: float = ATOL) -> DensityMatrix:
@@ -111,21 +107,36 @@ def validate_density(entries, atol: float = ATOL) -> DensityMatrix:
     a = np.asarray(entries, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
         raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
+    return DensityMatrix(*map(_frozen, _validated(a, atol)))
+
+
+def _validated(a: np.ndarray, atol: float = ATOL):
+    """(mat, w, v) of a complex matrix or stack of matrices; validate_density's body.
+
+    Checks reduce over the whole stack (by ufunc, cheaper than ``.max()`` on scalars).
+    """
     _require_finite(a)
-    herm_err = float(np.abs(a - a.conj().T).max())
+    ah = a.conj().swapaxes(-1, -2)
+    herm_err = float(np.maximum.reduce(np.abs(a - ah), axis=None))
     if herm_err > atol:
         raise NotHermitian(f"max |A - A^dag| = {herm_err:.3e} exceeds {atol:.1e}")
-    h = (a + a.conj().T) / 2.0
-    tr = float(h.trace().real)
-    if abs(tr - 1.0) > atol:
-        raise NotUnitTrace(f"trace = {tr!r}")
-    w, v = _eigh_desc(h)
-    if w[-1] < -atol:
-        raise NotPSD(f"min eigenvalue = {w[-1]:.3e}")
+    h = (a + ah) / 2.0
+    tr = h.trace(axis1=-2, axis2=-1).real
+    tr_err = np.abs(tr - 1.0)
+    if np.maximum.reduce(tr_err, axis=None) > atol:
+        raise NotUnitTrace(f"trace = {float(np.ravel(tr)[tr_err.argmax()])!r}")
+    try:
+        w, v = np.linalg.eigh(h)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure(f"eigendecomposition did not converge: {exc}") from exc
+    w, v = w[..., ::-1], np.ascontiguousarray(v[..., ::-1])  # descending
+    w_min = np.minimum.reduce(w[..., -1], axis=None)
+    if w_min < -atol:
+        raise NotPSD(f"min eigenvalue = {w_min:.3e}")
     w = _clean_spectrum(w)
-    mat = (v * w) @ v.conj().T
-    mat = (mat + mat.conj().T) / 2.0
-    return DensityMatrix(_frozen(mat), _frozen(w), _frozen(v))
+    mat = (v * w[..., None, :]) @ v.conj().swapaxes(-1, -2)
+    mat = (mat + mat.conj().swapaxes(-1, -2)) / 2.0
+    return mat, w, v
 
 
 def sqrtm(rho: DensityMatrix) -> np.ndarray:

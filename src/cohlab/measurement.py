@@ -16,7 +16,7 @@ import numpy as np
 
 from .coherence import c_l2, c_rel_entropy, skew_bounds
 from .errors import DimensionMismatch
-from .linalg import DensityMatrix
+from .linalg import DensityMatrix, _require_finite
 from .rand import as_rng, child_rng
 
 IMAG_TOL = 1e-6
@@ -82,6 +82,7 @@ def recover_spectrum(trace_powers) -> SpectrumEstimate:
     n = len(p)
     if n < 1:
         raise DimensionMismatch("need power sums for n = 1..N")
+    _require_finite(p)
     e = np.zeros(n + 1)
     e[0] = 1.0
     for k in range(1, n + 1):

@@ -55,11 +55,16 @@ def _complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
-def ginibre_mixed(dim: int, rng) -> DensityMatrix:
-    """Full-support random mixed state G G^dag / Tr(G G^dag)."""
+def _ginibre(dim: int, rng) -> np.ndarray:
+    """G G^dag / Tr(G G^dag) for a complex normal G, not yet validated."""
     g = _complex_normal(as_rng(rng), (dim, dim))
     m = g @ g.conj().T
-    return validate_density(m / m.trace().real)
+    return m / m.trace().real
+
+
+def ginibre_mixed(dim: int, rng) -> DensityMatrix:
+    """Full-support random mixed state G G^dag / Tr(G G^dag)."""
+    return validate_density(_ginibre(dim, rng))
 
 
 def haar_pure(dim: int, rng) -> DensityMatrix:

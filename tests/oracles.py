@@ -1,19 +1,26 @@
 """Independent oracles used across the test suite.
 
 These deliberately avoid the package's computational paths: square roots go
-through scipy's Schur-based sqrtm, skew quantities through literal commutator
+through a singular value decomposition, skew quantities through literal commutator
 traces, the Fisher information through a fidelity finite difference, and the
 discord through an exhaustive product-basis grid with local grid refinement.
 """
 
 import numpy as np
-import scipy.linalg
 
 
 def psd_sqrt(mat):
-    s = scipy.linalg.sqrtm(np.asarray(mat, dtype=complex))
-    s = np.asarray(s)
-    return (s + s.conj().T) / 2.0
+    """U diag(sqrt(s)) U^dag from the SVD U diag(s) V^dag of a PSD matrix.
+
+    On the support the left singular vectors are eigenvectors.  Singular
+    values below the numerical-rank tolerance of ``np.linalg.matrix_rank``
+    are roundoff of zero eigenvalues and count as zero; their square roots
+    (~3e-9) would otherwise show in every rank-deficient result.
+    """
+    u, s, _ = np.linalg.svd(np.asarray(mat, dtype=complex))
+    s = np.where(s > s[0] * len(s) * np.finfo(float).eps, s, 0.0)
+    r = (u * np.sqrt(s)) @ u.conj().T
+    return (r + r.conj().T) / 2.0
 
 
 def skew_info_commutator(mat, k):

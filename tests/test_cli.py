@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 from contextlib import redirect_stdout
@@ -122,6 +123,16 @@ def test_compute_non_finite_exits_2(tmp_path, entries):
     assert err["detail"]
 
 
+def test_compute_non_finite_result_exits_2(tmp_path, plus_file):
+    # finite entries, but Tr(rho K^2) overflows and c_k comes out NaN
+    obs = tmp_path / "huge.json"
+    obs.write_text(json.dumps({"re": [[1e200, 0.0], [0.0, -1e200]], "im": [[0.0, 0.0], [0.0, 0.0]]}))
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, out = run_cli(["compute", "--input", plus_file, "--observable", str(obs)])
+    assert code == 2
+    assert json.loads(out)["error"] == "NotFinite"
+
+
 def test_fixture_reports_exist_for_all_names():
     for name in FIXTURE_NAMES:
         rows = fixture_report(name, seed=0)
@@ -140,6 +151,12 @@ def test_fixture_unknown_name():
 
 def test_fixture_max_coherent_passes():
     code, out = run_cli(["fixture", "max-coherent-3x3"])
+    assert code == 0
+    assert "FAIL" not in out
+
+
+def test_fixture_theorem3_block_passes():
+    code, out = run_cli(["fixture", "theorem3-block"])
     assert code == 0
     assert "FAIL" not in out
 
@@ -247,3 +264,14 @@ def test_env_seed_override(plus_file, monkeypatch):
     monkeypatch.delenv("COHLAB_SEED")
     code, out = run_cli(["compute", "--input", plus_file, "--seed", "5"])
     assert json.loads(out)["meta"]["seed"] == 5
+
+
+def test_sweep_csv_bytes_are_pinned(tmp_path):
+    # SHA-256 of this CSV as the per-sample sweep wrote it; the stacked sweep
+    # must reproduce it byte for byte (the header embeds the package version)
+    out = tmp_path / "sweep.csv"
+    code, _ = run_cli(["sweep", "polygamy", "--dims", "3x4", "--samples", "113", "--seed", "9",
+                       "--out", str(out)])
+    assert code == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == "8a89a02415b2c711e50faf8b18691e8c7b59ccb93e10a94721b6ad3a47cb051f"

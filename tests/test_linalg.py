@@ -30,6 +30,8 @@ from cohlab.errors import (
 )
 from cohlab.fixtures import COUNTEREXAMPLE_RHO
 
+from oracles import psd_sqrt
+
 
 def test_validate_maximally_mixed_qubit():
     rho = validate_density(np.diag([0.5, 0.5]))
@@ -138,6 +140,15 @@ def test_sqrtm_multiply_back_random(dim):
         s = sqrtm(rho)
         assert np.abs(s @ s - rho.mat).max() < 1e-8
         assert np.abs(s - s.conj().T).max() < 1e-12
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
+def test_oracle_sqrt_matches_scipy_on_full_rank_states(dim):
+    import scipy.linalg
+
+    for i in range(20):
+        mat = ginibre_mixed(dim, child_rng(42, i)).mat
+        assert np.abs(psd_sqrt(mat) - scipy.linalg.sqrtm(mat)).max() < 1e-12
 
 
 def test_tensor_basis_states():

@@ -14,7 +14,7 @@ from cohlab import (
     true_measures,
     validate_density,
 )
-from cohlab.errors import DimensionMismatch
+from cohlab.errors import DimensionMismatch, NotFinite
 
 from oracles import power_sum_jacobian_inverse_norm
 
@@ -79,6 +79,12 @@ def test_recover_random_round_trip():
             assert np.abs(est.eigenvalues - rho.eigenvalues).max() < 1e-8
             assert est.residuals.max() < 1e-9
             assert not est.ill_conditioned
+
+
+@pytest.mark.parametrize("powers", [[1.0, np.nan], [1.0, 0.5, np.inf]])
+def test_recover_rejects_non_finite_power_sums(powers):
+    with pytest.raises(NotFinite):
+        recover_spectrum(powers)
 
 
 def test_recover_flags_large_dimension():

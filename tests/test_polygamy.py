@@ -15,9 +15,10 @@ from cohlab import (
     sweep_summary,
     tensor,
 )
-from cohlab.errors import BadPartition, NotPure
+from cohlab.errors import BadPartition, DimensionMismatch, NotPure
 from cohlab.fixtures import max_coherent_pair, qubit_mixture_counterexample
-from cohlab.linalg import RANK_TOL, partial_trace
+from cohlab.linalg import RANK_TOL, partial_trace, validate_density
+from cohlab.polygamy import CHUNK_ENTRIES, _records
 from oracles import schmidt_marginal_coherences
 
 
@@ -213,6 +214,37 @@ def test_sweep_deterministic_and_summarized():
     assert s["samples"] == 50
     assert s["violations"] == 0
     assert s["min_gap"] <= s["mean_gap"]
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3), (3, 4), (4, 4)])
+def test_sweep_matches_per_sample_records(dims):
+    # two chunks, the second one partial
+    d = dims[0] * dims[1]
+    chunk = CHUNK_ENTRIES // (d * d)
+    n = chunk + chunk // 2 + 1
+    records = sweep_polygamy(dims, n, seed=3)
+    assert records == [bipartite_record(ginibre_mixed(d, child_rng(3, i)), dims) for i in range(n)]
+
+
+def test_stacked_records_mixing_ranks_match_single_states():
+    rng = child_rng(35, 0)
+    a, b = haar_pure(6, rng), haar_pure(6, rng)
+    rank2 = validate_density(0.3 * a.mat + 0.7 * b.mat)
+    states = [ginibre_mixed(6, rng), a, rank2, ginibre_mixed(6, rng), b, rank2]
+    records = _records(
+        np.stack([s.mat for s in states]),
+        np.stack([s.eigenvalues for s in states]),
+        np.stack([s.eigenvectors for s in states]),
+        (2, 3),
+    )
+    assert [r.rank for r in records] == [6, 1, 2, 6, 1, 2]
+    assert records == [bipartite_record(s, (2, 3)) for s in states]
+
+
+@pytest.mark.parametrize("dims", [(0, 3), (-2, 3)])
+def test_sweep_rejects_non_positive_dims(dims):
+    with pytest.raises(DimensionMismatch):
+        sweep_polygamy(dims, 5, seed=1)
 
 
 def test_qubit_violation_search_replays():
