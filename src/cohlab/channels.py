@@ -11,6 +11,7 @@ from .errors import (
     DimensionMismatch,
     IncompleteChannel,
     InfeasiblePattern,
+    NegativeCount,
 )
 from .linalg import DensityMatrix, _require_finite, validate_density
 from .parallel import indexed_map
@@ -207,6 +208,8 @@ def monotonicity_sweep(
     a Ginibre state and (for the ``"k"`` measure) a random observable.
     Returns one ``MonotonicityVerdict`` per sample, in sample order.
     """
+    if samples < 0:
+        raise NegativeCount(f"sample count {samples} is negative")
 
     def one(i: int) -> MonotonicityVerdict:
         rng = child_rng(seed, i)

@@ -176,6 +176,7 @@ def cmd_discord(args) -> int:
         "value": result.value,
         "converged": result.converged,
         "restarts_used": result.restarts_used,
+        "sweeps": result.sweeps,
         "basis": {"u_a": matrix_to_obj(result.basis.u_a), "u_b": matrix_to_obj(result.basis.u_b)},
         "meta": _meta(seed, mode=args.mode, restarts=args.restarts,
                       dims=list(dims), fixture=args.fixture, input=args.input),

@@ -45,6 +45,10 @@ class NotPure(CohlabError):
     """State purity is below the pure-state threshold."""
 
 
+class NegativeCount(CohlabError):
+    """A sample count is negative."""
+
+
 class BadPartition(CohlabError):
     """Partition tree leaves do not partition the subsystem index set."""
 

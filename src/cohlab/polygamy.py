@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coherence import _c_skew_of, c_skew
-from .errors import BadPartition, DimensionMismatch, NotPure
+from .errors import BadPartition, DimensionMismatch, NegativeCount, NotPure
 from .linalg import RANK_TOL, DensityMatrix, _clean_spectrum, _validated, partial_trace
 from .linalg import validate_density
 from .rand import _ginibre, child_rng
@@ -253,6 +253,8 @@ def sweep_polygamy(dims, n_samples: int, seed: int) -> list:
     da, db = (int(d) for d in dims)
     if da < 1 or db < 1:
         raise DimensionMismatch(f"dims {dims} must be positive")
+    if n_samples < 0:
+        raise NegativeCount(f"sample count {n_samples} is negative")
     dim = da * db
     chunk = max(1, CHUNK_ENTRIES // (dim * dim))
     records = []
@@ -264,14 +266,16 @@ def sweep_polygamy(dims, n_samples: int, seed: int) -> list:
 
 
 def sweep_summary(records) -> dict:
+    """Gap statistics of a sweep; with no records the gaps are ``None``."""
     gaps = np.array([r.gap_pure_form for r in records])
     theorem_gaps = [r.theorem_gaps() for r in records]
+    names = theorem_gaps[0] if theorem_gaps else ()
     return {
         "samples": len(records),
-        "min_gap": float(gaps.min()),
-        "mean_gap": float(gaps.mean()),
+        "min_gap": float(gaps.min()) if len(gaps) else None,
+        "mean_gap": float(gaps.mean()) if len(gaps) else None,
         "violations": int(np.count_nonzero(gaps < 0.0)),
-        "theorem_min_gaps": {name: min(g[name] for g in theorem_gaps) for name in theorem_gaps[0]},
+        "theorem_min_gaps": {name: min(g[name] for g in theorem_gaps) for name in names},
     }
 
 

@@ -3,10 +3,17 @@
 These deliberately avoid the package's computational paths: square roots go
 through a singular value decomposition, skew quantities through literal commutator
 traces, the Fisher information through a fidelity finite difference, and the
-discord through an exhaustive product-basis grid with local grid refinement.
+discord through an exhaustive product-basis grid with local grid refinement or,
+for a qubit A, the local-quantum-uncertainty closed form.
 """
 
 import numpy as np
+
+PAULIS = (
+    np.array([[0, 1], [1, 0]], dtype=complex),
+    np.array([[0, -1j], [1j, 0]], dtype=complex),
+    np.array([[1, 0], [0, -1]], dtype=complex),
+)
 
 
 def psd_sqrt(mat):
@@ -166,6 +173,19 @@ def discord_grid_oracle(mat, step=np.pi / 60.0, refinements=2):
         best = min(best, float(vals[iu, iv]))
         center = [ta[iu], fa[iu], tb[iv], fb[iv]]
     return best
+
+
+def qubit_a_discord(mat, db):
+    """Closed form (1 - lambda_max(W)) / 2 of the asymmetric discord for a qubit A.
+
+    ``W_ij = Tr[sqrt(rho) (s_i (x) I) sqrt(rho) (s_j (x) I)]`` over the Pauli
+    matrices: half the local quantum uncertainty of Girolami, Tufarelli and
+    Adesso, PRL 110, 240402 (2013).
+    """
+    s = psd_sqrt(mat)
+    ops = [np.kron(p, np.eye(db)) for p in PAULIS]
+    w = np.array([[np.trace(s @ a @ s @ b).real for b in ops] for a in ops])
+    return float((1.0 - np.linalg.eigvalsh((w + w.T) / 2.0).max()) / 2.0)
 
 
 def power_sum_jacobian_inverse_norm(lams):

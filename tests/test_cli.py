@@ -1,11 +1,15 @@
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stdout
 
 import numpy as np
 import pytest
 
+import cohlab
 from cohlab import ginibre_mixed, maximally_coherent, random_incoherent_channel
 from cohlab.cli import main
 from cohlab.errors import NotUnitTrace, ParseError, UnknownFixture
@@ -203,6 +207,28 @@ def test_sweep_stdout_mode():
     assert out.startswith("# version=")
 
 
+def test_sweep_zero_samples_summary(tmp_path):
+    out = tmp_path / "empty.csv"
+    code, stdout = run_cli(["sweep", "polygamy", "--dims", "2x2", "--samples", "0",
+                            "--out", str(out)])
+    assert code == 0
+    assert json.loads(stdout)["summary"] == {
+        "samples": 0, "min_gap": None, "mean_gap": None, "violations": 0,
+        "theorem_min_gaps": {},
+    }
+    assert len(out.read_text().splitlines()) == 3  # the header only
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "polygamy", "--dims", "2x2"],
+    ["monotonicity", "--measure", "skew", "--dim", "2"],
+])
+def test_negative_sample_count_exits_2(argv):
+    code, out = run_cli(argv + ["--samples", "-3"])
+    assert code == 2
+    assert json.loads(out)["error"] == "NegativeCount"
+
+
 def test_monotonicity_fixture_row():
     code, out = run_cli(["monotonicity", "--measure", "k", "--fixture", "appendix-a"])
     assert code == 0
@@ -230,6 +256,8 @@ def test_discord_fixture_value():
     res = json.loads(out)
     assert res["value"] == pytest.approx(0.5, abs=1e-6)
     assert res["converged"] is True
+    assert list(res)[:4] == ["value", "converged", "restarts_used", "sweeps"]
+    assert isinstance(res["sweeps"], int) and res["sweeps"] >= 1
     assert "u_a" in res["basis"] and "u_b" in res["basis"]
 
 
@@ -275,3 +303,12 @@ def test_sweep_csv_bytes_are_pinned(tmp_path):
     assert code == 0
     digest = hashlib.sha256(out.read_bytes()).hexdigest()
     assert digest == "8a89a02415b2c711e50faf8b18691e8c7b59ccb93e10a94721b6ad3a47cb051f"
+
+
+def test_cli_import_loads_no_scipy():
+    src = os.path.dirname(os.path.dirname(cohlab.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, cohlab.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "[]"

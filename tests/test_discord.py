@@ -24,12 +24,15 @@ from cohlab import (
     validate_density,
 )
 from cohlab.channels import apply, validate_channel
+from cohlab.discord import _kept_weight, _starts, _sweep
 from cohlab.errors import NotIncoherentChannel
 from cohlab.fixtures import block_unitary_example, cnot_attainment
 
 from oracles import (
     discord_grid_oracle,
     product_coherence_commutator,
+    psd_sqrt,
+    qubit_a_discord,
     subsystem_coherence_commutator,
 )
 
@@ -151,6 +154,68 @@ def test_discord_grid_oracle_soundness():
         grid = discord_grid_oracle(rho.mat)
         res = discord_sym(rho, (2, 2), restarts=16, seed=0)
         assert res.value == pytest.approx(grid, abs=1e-4)
+
+
+@pytest.mark.parametrize("db", [2, 3, 4, 5])
+def test_discord_asym_qubit_a_matches_closed_form(db):
+    states = [ginibre_mixed(2 * db, child_rng(910, 10 * db + i)) for i in range(5)]
+    states.append(haar_pure(2 * db, child_rng(911, db)))
+    for i, rho in enumerate(states):
+        res = discord_asym(rho, (2, db), restarts=4, seed=i)
+        assert res.value == pytest.approx(qubit_a_discord(rho.mat, db), abs=1e-10)
+        assert res.converged
+
+
+def test_discord_sym_3x3_converges():
+    for i in range(12):
+        rho = ginibre_mixed(9, child_rng(77, i))
+        res = discord_sym(rho, (3, 3), restarts=8, seed=0)
+        assert res.converged
+        assert 0.0 <= res.value <= product_basis_coherence(rho, (3, 3))
+        assert res.sweeps >= 1
+
+
+def test_discord_sym_fixed_start_avoids_local_minimum():
+    # this two-qubit state has a local minimum 2e-3 above the global one; the identity,
+    # the eigenbases of rho's marginals and 43% of random starts fall into it, the
+    # eigenbases of the partial traces of sqrt(rho) do not
+    rho = ginibre_mixed(4, np.random.default_rng(np.random.SeedSequence([20170414, 6])))
+    res = discord_sym(rho, (2, 2), restarts=2, seed=0)
+    assert res.value == pytest.approx(discord_grid_oracle(rho.mat), abs=1e-5)
+
+
+def test_discord_sweep_cap_is_not_converged():
+    rho = ginibre_mixed(9, child_rng(77, 0))
+    res = discord_sym(rho, (3, 3), restarts=8, seed=0, max_iters=1)
+    assert res.sweeps == 1
+    assert not res.converged
+
+
+@pytest.mark.parametrize("solve, dims", [(discord_sym, (2, 3)), (discord_asym, (3, 2))])
+def test_discord_same_seed_bit_identical(solve, dims):
+    rho = ginibre_mixed(6, child_rng(912, 0))
+    a = solve(rho, dims, restarts=6, seed=5)
+    b = solve(rho, dims, restarts=6, seed=5)
+    assert a.value == b.value
+    assert np.array_equal(a.basis.u_a, b.basis.u_a)
+    assert np.array_equal(a.basis.u_b, b.basis.u_b)
+
+
+@pytest.mark.parametrize("sym, dims", [(True, (3, 3)), (True, (2, 4)), (False, (3, 2))])
+def test_jacobi_sweep_never_lowers_kept_weight(sym, dims):
+    da, db = dims
+    rho = ginibre_mixed(da * db, child_rng(913, da * db))
+    ua, ub = _starts(psd_sqrt(rho.mat), dims, 6, 1, sym)
+    w = np.stack([np.kron(x, y) for x, y in zip(ua, ub)])
+    m = (w.conj().transpose(0, 2, 1) @ psd_sqrt(rho.mat) @ w).reshape(-1, da, db, da, db)
+    kept = np.eye(db) if sym else np.ones((db, db))
+    weight = _kept_weight(m, kept)
+    active = np.ones(len(m), dtype=bool)
+    for _ in range(10):
+        _sweep(m, ua, ub if sym else None, kept, active)
+        new = _kept_weight(m, kept)
+        assert np.all(new >= weight - 1e-13)
+        weight = new
 
 
 def test_generalized_cnot_dim2_permutation():
