@@ -18,7 +18,7 @@ from . import __version__
 from .coherence import coherence_report, k_coherence
 from .discord import discord_asym, discord_sym
 from .errors import CohlabError, DimensionMismatch, NotFinite
-from .fixtures import fixture_report, k_coherence_counterexample
+from .fixtures import DISCORD_FIXTURES, fixture_report, k_coherence_counterexample
 from .measurement import estimate_measures, true_measures
 from .metrology import metrology_report
 from .channels import monotonicity_check, monotonicity_sweep
@@ -30,7 +30,7 @@ THREADS_HELP = "accepted and ignored: sweeps run in one thread"
 
 
 def _resolve_seed(args) -> int:
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         return int(args.seed)
     env = os.environ.get(ENV_SEED, "")
     return int(env) if env else 0
@@ -66,20 +66,18 @@ def _fmt(value) -> str:
 
 def cmd_compute(args) -> int:
     rho = read_state(args.input)
-    seed = _resolve_seed(args)
     out = coherence_report(rho).to_dict()
     if args.observable:
         out["c_k"] = k_coherence(rho, read_observable(args.observable))
-    out["meta"] = _meta(seed, input=args.input, observable=args.observable)
+    out["meta"] = _meta(args.seed, input=args.input, observable=args.observable)
     _print_json(out)
     return 0
 
 
 def cmd_fixture(args) -> int:
-    seed = _resolve_seed(args)
-    rows = fixture_report(args.name, seed=seed)
+    rows = fixture_report(args.name, seed=args.seed)
     width = max(len(r.label) for r in rows)
-    print(f"fixture {args.name}  (version {__version__}, seed {seed})")
+    print(f"fixture {args.name}  (version {__version__}, seed {args.seed})")
     print(f"{'quantity'.ljust(width)}  {'computed':>22}  {'expected':>12}  {'tol':>8}  status")
     ok_all = True
     for r in rows:
@@ -108,12 +106,9 @@ def _csv_header(meta: dict, columns) -> list:
 
 
 def cmd_sweep(args) -> int:
-    if args.kind != "polygamy":
-        raise DimensionMismatch(f"unknown sweep kind {args.kind!r}")
-    seed = _resolve_seed(args)
     dims = _parse_dims(args.dims)
-    meta = _meta(seed, kind=args.kind, dims=list(dims), samples=args.samples)
-    records = sweep_polygamy(dims, args.samples, seed)
+    meta = _meta(args.seed, kind=args.kind, dims=list(dims), samples=args.samples)
+    records = sweep_polygamy(dims, args.samples, args.seed)
     columns = ["sample", "dimA", "dimB", "c12", "c1", "c2", "gap",
                "lambda_min", "rank", "cs", "gap_cor1_sym"]
     lines = _csv_header(meta, columns)
@@ -130,18 +125,17 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_monotonicity(args) -> int:
-    seed = _resolve_seed(args)
     columns = ["seed", "c_before", "c_avg_after", "c_after", "strong_ok", "weak_ok"]
     if args.fixture:
         if args.fixture != "appendix-a":
             raise DimensionMismatch(f"no channel fixture named {args.fixture!r}")
         rho, channel, obs = k_coherence_counterexample()
         verdict = monotonicity_check(channel, rho, measure=args.measure, observable=obs)
-        meta = _meta(seed, measure=args.measure, fixture=args.fixture)
+        meta = _meta(args.seed, measure=args.measure, fixture=args.fixture)
         rows = [(args.fixture, verdict)]
     else:
-        meta = _meta(seed, measure=args.measure, samples=args.samples, dim=args.dim)
-        verdicts = monotonicity_sweep(args.measure, args.samples, args.dim, seed)
+        meta = _meta(args.seed, measure=args.measure, samples=args.samples, dim=args.dim)
+        verdicts = monotonicity_sweep(args.measure, args.samples, args.dim, args.seed)
         rows = list(enumerate(verdicts))
     lines = _csv_header(meta, columns)
     for key, v in rows:
@@ -154,31 +148,24 @@ def cmd_monotonicity(args) -> int:
 
 
 def cmd_discord(args) -> int:
-    seed = _resolve_seed(args)
     if args.fixture:
-        from .fixtures import block_unitary_example, cnot_attainment
-
-        if args.fixture == "theorem3-cnot":
-            fx = cnot_attainment()
-        elif args.fixture == "theorem3-block":
-            fx = block_unitary_example()
-        else:
+        if args.fixture not in DISCORD_FIXTURES:
             raise DimensionMismatch(f"no discord fixture named {args.fixture!r}")
-        rho, dims = fx["rho_f"], (2, 2)
+        rho, dims = DISCORD_FIXTURES[args.fixture]()["rho_f"], (2, 2)
     else:
         if not args.input or not args.dims:
             raise DimensionMismatch("discord needs --input and --dims (or --fixture)")
         rho = read_state(args.input)
         dims = _parse_dims(args.dims)
     fn = discord_sym if args.mode == "sym" else discord_asym
-    result = fn(rho, dims, restarts=args.restarts, seed=seed)
+    result = fn(rho, dims, restarts=args.restarts, seed=args.seed)
     out = {
         "value": result.value,
         "converged": result.converged,
         "restarts_used": result.restarts_used,
         "sweeps": result.sweeps,
         "basis": {"u_a": matrix_to_obj(result.basis.u_a), "u_b": matrix_to_obj(result.basis.u_b)},
-        "meta": _meta(seed, mode=args.mode, restarts=args.restarts,
+        "meta": _meta(args.seed, mode=args.mode, restarts=args.restarts,
                       dims=list(dims), fixture=args.fixture, input=args.input),
     }
     _print_json(out)
@@ -186,23 +173,20 @@ def cmd_discord(args) -> int:
 
 
 def cmd_metrology(args) -> int:
-    seed = _resolve_seed(args)
     rho = read_state(args.input)
-    report = metrology_report(rho, args.runs)
-    out = report.to_dict()
-    out["meta"] = _meta(seed, input=args.input, runs=args.runs)
+    out = metrology_report(rho, args.runs).to_dict()
+    out["meta"] = _meta(args.seed, input=args.input, runs=args.runs)
     _print_json(out)
     return 0
 
 
 def cmd_simulate_measure(args) -> int:
-    seed = _resolve_seed(args)
     rho = read_state(args.input)
-    est = estimate_measures(rho, args.shots, seed, exact_powers=args.exact_powers)
+    est = estimate_measures(rho, args.shots, args.seed, exact_powers=args.exact_powers)
     out = {
         "estimates": est.to_dict(),
         "true": true_measures(rho),
-        "meta": _meta(seed, input=args.input, shots=args.shots,
+        "meta": _meta(args.seed, input=args.input, shots=args.shots,
                       exact_powers=args.exact_powers),
     }
     _print_json(out)
@@ -274,6 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    args.seed = _resolve_seed(args)
     try:
         return args.func(args)
     except CohlabError as exc:

@@ -109,14 +109,15 @@ def affinity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     return float(np.trace(sqrtm(rho) @ sqrtm(sigma)).real)
 
 
+def _entropy_bits(p: np.ndarray) -> float:
+    """Shannon entropy of a probability vector in bits; 0 log 0 := 0."""
+    p = p[p > 0.0]
+    return float(-(p @ np.log2(p)))
+
+
 def c_rel_entropy(rho: DensityMatrix) -> float:
-    """Relative-entropy coherence S(diag(rho)) - S(rho), in bits; 0 log 0 := 0."""
-    w = rho.eigenvalues[rho.eigenvalues > 0.0]
-    s_rho = float(-(w @ np.log2(w)))
-    d = rho.diag()
-    d = d[d > 0.0]
-    s_diag = float(-(d @ np.log2(d)))
-    return s_diag - s_rho
+    """Relative-entropy coherence S(diag(rho)) - S(rho), in bits."""
+    return _entropy_bits(rho.diag()) - _entropy_bits(rho.eigenvalues)
 
 
 def _offdiag_abs(rho: DensityMatrix) -> np.ndarray:

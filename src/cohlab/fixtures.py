@@ -233,6 +233,7 @@ _REPORTS = {
     "max-coherent-3x3": lambda seed: _report_max_coherent(),
 }
 FIXTURE_NAMES = tuple(_REPORTS)
+DISCORD_FIXTURES = {"theorem3-cnot": cnot_attainment, "theorem3-block": block_unitary_example}
 
 
 def fixture_report(name: str, seed: int = 0) -> list:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coherence import c_l2, c_rel_entropy, skew_bounds
+from .coherence import _entropy_bits, c_l2, c_rel_entropy, skew_bounds
 from .errors import DimensionMismatch
 from .linalg import DensityMatrix, _require_finite
 from .rand import as_rng, child_rng
@@ -137,11 +137,6 @@ class MeasurementEstimate:
                 for r in self.shot_records
             ],
         }
-
-
-def _entropy_bits(p: np.ndarray) -> float:
-    p = p[p > 0.0]
-    return float(-(p @ np.log2(p)))
 
 
 def estimate_measures(

@@ -55,25 +55,14 @@ class MetrologyReport:
     aggregate: dict
 
     def to_dict(self) -> dict:
-        def num(x):
-            return None if math.isinf(x) else x
+        def no_inf(entry: dict) -> dict:
+            return {k: None if isinstance(v, float) and math.isinf(v) else v
+                    for k, v in entry.items()}
 
         return {
             "n_runs": self.n_runs,
-            "per_k": [
-                {
-                    "skew": e["skew"],
-                    "qfi": e["qfi"],
-                    "var_opt": num(e["var_opt"]),
-                    "var_lower": num(e["var_lower"]),
-                    "var_upper": num(e["var_upper"]),
-                    "finite": e["finite"],
-                }
-                for e in self.per_k
-            ],
-            "aggregate": {
-                k: (num(v) if isinstance(v, float) else v) for k, v in self.aggregate.items()
-            },
+            "per_k": [no_inf(e) for e in self.per_k],
+            "aggregate": no_inf(self.aggregate),
         }
 
 

@@ -44,24 +44,20 @@ def _coherence_of_stack(stack: np.ndarray) -> np.ndarray:
     return 1.0 - np.sum(sdiag**2, axis=-1)
 
 
-def _eigenstate_marginal_coherences(w: np.ndarray, v: np.ndarray, dims, left):
+def _eigenstate_marginal_coherences(w: np.ndarray, v: np.ndarray, dims):
     """Ranks r and summed c_skew of both marginals of the eigenstates of (w, v) stacks.
 
-    ``left`` lists the positions in ``dims`` of the first block.  Each
-    eigenvector above the rank tolerance becomes a (d_left, d_right) amplitude
-    matrix psi with marginals psi psi^dag and psi^T psi^*; ties in degenerate
-    spectra follow eigh.  Grouping by rank sums each state over exactly r terms.
+    Each eigenvector above the rank tolerance becomes a ``dims = (d_left,
+    d_right)`` amplitude matrix psi with marginals psi psi^dag and psi^T psi^*;
+    ties in degenerate spectra follow eigh.  Grouping by rank sums each state
+    over exactly r terms.
     """
-    dims = [int(d) for d in dims]
-    right = [i for i in range(len(dims)) if i not in left]
-    d_left = int(np.prod([dims[i] for i in left]))
+    d_left, d_right = dims
     ranks = np.count_nonzero(w > RANK_TOL, axis=-1)
     sum_left, sum_right = np.empty(ranks.shape), np.empty(ranks.shape)
     for r in np.unique(ranks):
         group = ranks == r
-        psi = v[group][..., :r].swapaxes(-1, -2).reshape([-1, r] + dims)
-        psi = psi.transpose([0, 1] + [i + 2 for i in list(left) + right])
-        psi = psi.reshape(len(psi), r, d_left, -1)
+        psi = v[group][..., :r].swapaxes(-1, -2).reshape(-1, r, d_left, d_right)
         for sums, spec in ((sum_left, "...bk,...ck->...bc"), (sum_right, "...kb,...kc->...bc")):
             sums[group] = np.sum(_coherence_of_stack(np.einsum(spec, psi, psi.conj())), axis=-1)
     return ranks, sum_left, sum_right
@@ -118,7 +114,7 @@ def _records(mat: np.ndarray, w: np.ndarray, v: np.ndarray, dims) -> list:
     coherences = [_c_skew_of(w, v)]
     for axis in (2, 1):  # trace out B, then A
         coherences.append(_c_skew_of(*_validated(np.trace(t, axis1=axis, axis2=axis + 2))[1:]))
-    ranks, sum_a, sum_b = _eigenstate_marginal_coherences(w, v, dims, [0])
+    ranks, sum_a, sum_b = _eigenstate_marginal_coherences(w, v, dims)
     d = mat.diagonal(axis1=-2, axis2=-1).real
     diag_sq = (d[..., None, :] @ d[..., :, None])[..., 0, 0]
     lambda_min = np.where(w > RANK_TOL, w, np.inf).min(axis=-1)
@@ -139,84 +135,73 @@ def bipartite_record(rho_ab: DensityMatrix, dims) -> PolygamyRecord:
                     (da, db))[0]
 
 
-def _leaves_of(node) -> list:
-    if _is_leaf(node):
-        return [tuple(node)]
-    left, right = node
-    return _leaves_of(left) + _leaves_of(right)
-
-
 def _is_leaf(node) -> bool:
     return all(isinstance(x, (int, np.integer)) for x in node)
 
 
-def _check_tree(tree, n_subsystems: int):
-    if _is_leaf(tree):
-        raise BadPartition("tree root must split into at least two blocks")
-    leaves = _leaves_of(tree)
-    flat = sorted(i for leaf in leaves for i in leaf)
-    if flat != list(range(n_subsystems)):
-        raise BadPartition(f"leaves {leaves} do not partition 0..{n_subsystems - 1}")
-    def walk(node):
-        if _is_leaf(node):
-            return
-        if len(node) != 2:
-            raise BadPartition("internal nodes must be bipartite splits")
-        walk(node[0])
-        walk(node[1])
-    walk(tree)
+def _blocks(node) -> tuple:
+    """Sorted subsystem indices below a tree node.
 
-
-def _subsystems_of(node) -> tuple:
-    return tuple(sorted(i for leaf in _leaves_of(node) for i in leaf)) if not _is_leaf(node) else tuple(sorted(node))
-
-
-def _reduced(rho: DensityMatrix, dims, subs) -> DensityMatrix:
-    if len(subs) == len(dims):
-        return rho
-    return partial_trace(rho, dims, subs)
+    A leaf is a non-empty tuple of indices and every other node a pair of
+    nodes; anything else raises ``BadPartition``.
+    """
+    if isinstance(node, (int, np.integer)):
+        raise BadPartition(f"subsystem {node} must sit in a leaf tuple")
+    if _is_leaf(node):
+        if not node:
+            raise BadPartition("a leaf must list at least one subsystem")
+        return tuple(sorted(node))
+    if len(node) != 2:
+        raise BadPartition("internal nodes must be bipartite splits")
+    return tuple(sorted(_blocks(node[0]) + _blocks(node[1])))
 
 
 def partition_check(rho: DensityMatrix, dims, tree, tol: float = GAP_TOL) -> dict:
     """Evaluate both multipartite distribution inequalities on a nested split.
 
     ``tree`` is a nested pair structure over subsystem indices, e.g.
-    ``((0,), ((1,), (2,)))`` splits 0|12 and then 1|2.  The product form
-    multiplies a minimal-nonzero-eigenvalue factor per split; the symmetric
-    form accumulates one c_s factor per split, entering at the exponent of
-    its branch, with leaf exponents halving below each substituted split.
+    ``((0,), ((1,), (2,)))`` splits 0|12 and then 1|2; leaves may list their
+    subsystems in any order.  Each split is a bipartite record of the node's
+    reduced state, with the left block's subsystems moved first.  The product
+    form multiplies a minimal-nonzero-eigenvalue factor per split; the
+    symmetric form accumulates one c_s factor per split, entering at the
+    exponent of its branch, with leaf exponents halving below each
+    substituted split.
     """
     dims = [int(d) for d in dims]
+    n = len(dims)
     if int(np.prod(dims)) != rho.dim:
         raise DimensionMismatch(f"prod({dims}) != state dimension {rho.dim}")
-    _check_tree(tree, len(dims))
+    blocks = _blocks(tree)
+    if _is_leaf(tree):
+        raise BadPartition("tree root must split into at least two blocks")
+    if blocks != tuple(range(n)):
+        raise BadPartition(f"leaves of {tree} do not partition 0..{n - 1}")
 
     leaf_coh = {}
-    for leaf in _leaves_of(tree):
-        leaf_coh[leaf] = c_skew(_reduced(rho, dims, sorted(leaf)))
-
     splits = []
 
     def walk(node, depth):
         """Returns (leaf exponents, lambda product, c_s accumulator) for a node."""
-        subs = _subsystems_of(node)
-        st = _reduced(rho, dims, subs)
-        node_dims = [dims[i] for i in subs]
-        left, right = node
-        left_set = set(_subsystems_of(left))
-        left_pos = [k for k, s in enumerate(subs) if s in left_set]
-        r, sum_l, sum_r = (x[0].item() for x in _eigenstate_marginal_coherences(
-            st.eigenvalues[None], st.eigenvectors[None], node_dims, left_pos))
-        lam, c_s = st.min_nonzero_eigenvalue(), (r - sum_l) * (r - sum_r)
+        subs = _blocks(node)
+        left, right = _blocks(node[0]), _blocks(node[1])
+        st = rho if len(subs) == n else partial_trace(rho, dims, subs)
+        # basis index of the reordered state -> index of st; the spectrum is unchanged
+        perm = np.arange(st.dim).reshape([dims[i] for i in subs])
+        perm = perm.transpose([subs.index(i) for i in left + right]).ravel()
+        d_left = int(np.prod([dims[i] for i in left]))
+        rec = _records(st.mat[np.ix_(perm, perm)][None], st.eigenvalues[None],
+                       st.eigenvectors[perm][None], (d_left, st.dim // d_left))[0]
         splits.append(
-            {"subsystems": subs, "split": (_subsystems_of(left), _subsystems_of(right)),
-             "lambda_min": lam, "c_s": c_s, "exponent": 0.5**depth}
+            {"subsystems": subs, "split": (left, right),
+             "lambda_min": rec.lambda_min, "c_s": rec.c_s, "exponent": 0.5**depth}
         )
         exponents = {}
-        lam_prod = lam
-        cs_prod = c_s
-        for child in (left, right):
+        lam_prod = rec.lambda_min
+        cs_prod = rec.c_s
+        for child, c_child in zip(node, (rec.c_a, rec.c_b)):
             if _is_leaf(child):
+                leaf_coh[tuple(child)] = c_child
                 exponents[tuple(child)] = 1.0
             else:
                 sub_exp, sub_lam, sub_cs = walk(child, depth + 1)

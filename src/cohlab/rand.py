@@ -91,8 +91,3 @@ def random_unitary(dim: int, rng) -> np.ndarray:
 def random_hermitian(dim: int, rng, scale: float = 1.0) -> np.ndarray:
     a = _complex_normal(as_rng(rng), (dim, dim)) * scale
     return (a + a.conj().T) / 2.0
-
-
-def random_diagonal_state(dim: int, rng) -> DensityMatrix:
-    """Random incoherent state with Dirichlet(1) diagonal."""
-    return validate_density(np.diag(as_rng(rng).dirichlet(np.ones(dim))))

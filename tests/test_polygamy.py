@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cohlab import (
+    DensityMatrix,
     bipartite_record,
     c_skew,
     child_rng,
@@ -11,6 +14,8 @@ from cohlab import (
     maximally_coherent,
     partition_check,
     pure_polygamy_gap,
+    qfi_projector,
+    sqrtm,
     sweep_polygamy,
     sweep_summary,
     tensor,
@@ -202,6 +207,83 @@ def test_partition_rejects_bad_trees():
         partition_check(rho, [2, 2, 2], ((0,), (1,)))
     with pytest.raises(BadPartition):
         partition_check(rho, [2, 2, 2], ((0, 1), (1, 2)))
+
+
+def test_partition_rejects_malformed_nodes():
+    rho = ginibre_mixed(8, 12)
+    with pytest.raises(BadPartition):
+        partition_check(rho, [2, 2, 2], ((0,), (1,), (2,)))
+    with pytest.raises(BadPartition):
+        partition_check(rho, [2, 2, 2], ((0, 1, 2), ()))
+    with pytest.raises(BadPartition):
+        partition_check(rho, [2, 2, 2], (0, ((1,), (2,))))
+
+
+@st.composite
+def _nested_splits(draw):
+    """Party dims and a random nested split; leaves list shuffled subsystems."""
+    dims = draw(st.lists(st.integers(2, 3), min_size=3, max_size=4))
+    order = draw(st.permutations(range(len(dims))))
+
+    def node(block, leaf_ok):
+        if len(block) == 1 or (leaf_ok and draw(st.booleans())):
+            return tuple(block)
+        cut = draw(st.integers(1, len(block) - 1))
+        return (node(block[:cut], True), node(block[cut:], True))
+
+    return dims, node(list(order), False)
+
+
+def _reordered(rho, dims, left, right):
+    """Reduced state on left + right with the left block first, sharing rho's spectrum."""
+    subs = sorted(left + right)
+    node = rho if len(subs) == len(dims) else partial_trace(rho, dims, subs)
+    shape = [dims[i] for i in subs]
+    axes = [subs.index(i) for i in left + right]
+    k = len(subs)
+    mat = node.mat.reshape(shape * 2).transpose(axes + [a + k for a in axes])
+    vecs = node.eigenvectors.reshape(shape + [node.dim]).transpose(axes + [k])
+    return DensityMatrix(mat.reshape(node.dim, node.dim), node.eigenvalues,
+                         vecs.reshape(node.dim, node.dim))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_nested_splits(), st.integers(0, 2**16), st.booleans())
+def test_partition_check_is_a_stack_of_bipartite_records(split, seed, pure):
+    dims, tree = split
+    d = int(np.prod(dims))
+    rho = (haar_pure if pure else ginibre_mixed)(d, child_rng(seed, 0))
+    res = partition_check(rho, dims, tree)
+    for s in res["splits"]:
+        left, right = s["split"]
+        block_dims = [int(np.prod([dims[i] for i in block])) for block in (left, right)]
+        rec = bipartite_record(_reordered(rho, dims, list(left), list(right)), block_dims)
+        assert s["c_s"] == rec.c_s
+        assert s["lambda_min"] == rec.lambda_min
+    assert sorted(i for leaf in res["leaf_coherences"] for i in leaf) == list(range(len(dims)))
+    for leaf, c in res["leaf_coherences"].items():
+        assert c == pytest.approx(c_skew(partial_trace(rho, dims, sorted(leaf))), abs=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 3), st.integers(2, 3), st.integers(1, 8), st.integers(0, 2**16))
+def test_rank_deficient_states_stay_finite(da, db, rank, seed):
+    d = da * db
+    rank = min(rank, d - 1)
+    rng = child_rng(seed, 0)
+    g = rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank))
+    m = g @ g.conj().T
+    rho = validate_density(m / m.trace().real)
+    assert rho.rank == rank < d
+    for keep in ([0], [1]):
+        reduced = partial_trace(rho, [da, db], keep)
+        assert np.isfinite(reduced.mat).all() and np.isfinite(reduced.eigenvalues).all()
+        assert validate_density(reduced.mat).dim == reduced.dim
+    s = sqrtm(rho)
+    assert np.abs(s @ s - rho.mat).max() < 1e-10
+    for k in range(d):
+        fq = qfi_projector(rho, k)
+        assert np.isfinite(fq) and fq >= 0.0
 
 
 def test_sweep_deterministic_and_summarized():
