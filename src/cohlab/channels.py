@@ -13,8 +13,7 @@ from .errors import (
     InfeasiblePattern,
     NegativeCount,
 )
-from .linalg import DensityMatrix, _require_finite, validate_density
-from .parallel import indexed_map
+from .linalg import DensityMatrix, _frozen, _require_finite, validate_density
 from .rand import as_rng, child_rng, ginibre_mixed, random_hermitian, _complex_normal
 
 COMPLETENESS_ATOL = 1e-9
@@ -25,11 +24,17 @@ MONOTONE_TOL = 1e-9
 
 @dataclass(frozen=True)
 class KrausChannel:
-    """Ordered Kraus operators with verified completeness."""
+    """Read-only ``(n, dim_out, dim_in)`` stack of Kraus operators with verified completeness."""
 
-    operators: tuple
-    dim_in: int
-    dim_out: int
+    operators: np.ndarray
+
+    @property
+    def dim_in(self) -> int:
+        return self.operators.shape[2]
+
+    @property
+    def dim_out(self) -> int:
+        return self.operators.shape[1]
 
 
 @dataclass(frozen=True)
@@ -40,29 +45,27 @@ class SelectiveOutcome:
 
 def completeness_residual(ops) -> float:
     """Max-norm distance of sum_n M_n^dag M_n from the identity."""
-    ops = [np.asarray(m, dtype=complex) for m in ops]
-    acc = sum(m.conj().T @ m for m in ops)
-    return float(np.abs(acc - np.eye(ops[0].shape[1])).max())
+    ops = np.asarray(ops, dtype=complex)
+    acc = (ops.conj().swapaxes(-1, -2) @ ops).sum(axis=0)
+    return float(np.abs(acc - np.eye(ops.shape[-1])).max())
 
 
 def validate_channel(ops, atol: float = COMPLETENESS_ATOL) -> KrausChannel:
-    ops = tuple(np.asarray(m, dtype=complex) for m in ops)
-    if not ops:
+    """Copy ``ops`` into one frozen stack; operators that are not 2-D of one shape raise
+    ``DimensionMismatch``, an empty or incomplete set ``IncompleteChannel``."""
+    try:
+        ops = np.array(ops, dtype=complex)
+    except ValueError as exc:  # ragged shapes
+        raise DimensionMismatch(f"Kraus operators must share one shape: {exc}") from exc
+    if ops.shape[:1] == (0,):
         raise IncompleteChannel("channel needs at least one Kraus operator")
-    dim_out, dim_in = ops[0].shape
-    for m in ops:
-        if m.ndim != 2 or m.shape != (dim_out, dim_in):
-            raise DimensionMismatch(f"inconsistent Kraus shapes: {[m.shape for m in ops]}")
-        _require_finite(m)
+    if ops.ndim != 3 or 0 in ops.shape:
+        raise DimensionMismatch(f"expected a stack of 2-D Kraus operators, got shape {ops.shape}")
+    _require_finite(ops)
     res = completeness_residual(ops)
     if res > atol:
         raise IncompleteChannel(f"completeness residual {res:.3e} exceeds {atol:.1e}")
-    frozen = []
-    for m in ops:
-        m = m.copy()
-        m.setflags(write=False)
-        frozen.append(m)
-    return KrausChannel(tuple(frozen), dim_in, dim_out)
+    return KrausChannel(_frozen(ops))
 
 
 def is_incoherent(ch: KrausChannel, tol: float = SUPPORT_TOL) -> bool:
@@ -71,18 +74,26 @@ def is_incoherent(ch: KrausChannel, tol: float = SUPPORT_TOL) -> bool:
     At most one entry per column may exceed ``tol`` in modulus; this is the
     exact condition for the operator to keep every diagonal state diagonal.
     """
-    for m in ch.operators:
-        if np.any((np.abs(m) > tol).sum(axis=0) > 1):
-            return False
-    return True
+    return not np.any((np.abs(ch.operators) > tol).sum(axis=1) > 1)
+
+
+def _terms(ch: KrausChannel, rho: DensityMatrix) -> np.ndarray:
+    """Stack of the unnormalized outcomes M_n rho M_n^dag."""
+    if ch.dim_in != rho.dim:
+        raise DimensionMismatch(f"channel input dim {ch.dim_in} != state dim {rho.dim}")
+    return ch.operators @ rho.mat @ ch.operators.conj().swapaxes(-1, -2)
+
+
+def _outcomes(terms: np.ndarray) -> list:
+    """Normalized outcomes of a term stack, dropping those below ``OUTCOME_TOL``."""
+    probs = terms.trace(axis1=1, axis2=2).real.tolist()
+    return [SelectiveOutcome(p, validate_density(t / p))
+            for p, t in zip(probs, terms) if p >= OUTCOME_TOL]
 
 
 def apply(ch: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
     """Deterministic channel action sum_n M_n rho M_n^dag."""
-    if ch.dim_in != rho.dim:
-        raise DimensionMismatch(f"channel input dim {ch.dim_in} != state dim {rho.dim}")
-    out = sum(m @ rho.mat @ m.conj().T for m in ch.operators)
-    return validate_density(out)
+    return validate_density(_terms(ch, rho).sum(axis=0))
 
 
 def apply_selective(ch: KrausChannel, rho: DensityMatrix) -> list:
@@ -91,16 +102,7 @@ def apply_selective(ch: KrausChannel, rho: DensityMatrix) -> list:
     Outcomes with probability below 1e-12 are dropped (the normalized state
     is undefined at zero probability).
     """
-    if ch.dim_in != rho.dim:
-        raise DimensionMismatch(f"channel input dim {ch.dim_in} != state dim {rho.dim}")
-    outcomes = []
-    for m in ch.operators:
-        t = m @ rho.mat @ m.conj().T
-        p = float(t.trace().real)
-        if p < OUTCOME_TOL:
-            continue
-        outcomes.append(SelectiveOutcome(p, validate_density(t / p)))
-    return outcomes
+    return _outcomes(_terms(ch, rho))
 
 
 @dataclass(frozen=True)
@@ -135,9 +137,9 @@ def monotonicity_check(
     else:
         raise DimensionMismatch(f"unknown measure {measure!r}")
     c_before = f(rho)
-    outcomes = apply_selective(ch, rho)
-    c_avg = float(sum(o.probability * f(o.state) for o in outcomes))
-    c_after = f(apply(ch, rho))
+    terms = _terms(ch, rho)
+    c_avg = float(sum(o.probability * f(o.state) for o in _outcomes(terms)))
+    c_after = f(validate_density(terms.sum(axis=0)))
     return MonotonicityVerdict(
         c_before=c_before,
         c_avg_after=c_avg,
@@ -158,17 +160,14 @@ def random_incoherent_channel(dim: int, n_kraus: int, rng, max_tries: int = 20) 
         raise InfeasiblePattern("need at least one Kraus operator")
     rng = as_rng(rng)
     for _ in range(max_tries):
-        rows = [rng.permutation(dim) for _ in range(n_kraus)]
+        # row n draws the same values as the n-th rng.permutation(dim) call
+        rows = rng.permuted(np.tile(np.arange(dim), (n_kraus, 1)), axis=1)
         amps = _complex_normal(rng, (n_kraus, dim))
         norms = np.sqrt((np.abs(amps) ** 2).sum(axis=0))
         if norms.min() < 1e-6:
             continue
-        amps = amps / norms
-        ops = []
-        for n in range(n_kraus):
-            m = np.zeros((dim, dim), dtype=complex)
-            m[rows[n], np.arange(dim)] = amps[n]
-            ops.append(m)
+        ops = np.zeros((n_kraus, dim, dim), dtype=complex)
+        ops[np.arange(n_kraus)[:, None], rows, np.arange(dim)] = amps / norms
         return validate_channel(ops)
     raise InfeasiblePattern(f"no valid amplitude pattern after {max_tries} tries")
 
@@ -178,21 +177,21 @@ def random_channel(dim: int, n_kraus: int, rng) -> KrausChannel:
 
     Ginibre blocks normalized jointly by (sum_n A_n^dag A_n)^(-1/2).
     """
-    rng = as_rng(rng)
-    blocks = [_complex_normal(rng, (dim, dim)) for _ in range(n_kraus)]
-    return validate_channel(normalize_kraus(blocks))
+    # block n draws its real then its imaginary part, as _complex_normal does
+    g = as_rng(rng).standard_normal((n_kraus, 2, dim, dim))
+    return validate_channel(normalize_kraus(g[:, 0] + 1j * g[:, 1]))
 
 
-def normalize_kraus(ops) -> list:
+def normalize_kraus(ops) -> np.ndarray:
     """Right-multiply every operator by (sum_n A_n^dag A_n)^(-1/2).
 
-    The results satisfy completeness; where the correction is diagonal, each
-    operator keeps its support pattern.
+    Returns the ``(n, d_out, d_in)`` stack of results, which satisfy
+    completeness; where the correction is diagonal, each operator keeps its
+    support pattern.
     """
-    g = sum(a.conj().T @ a for a in ops)
-    w, v = np.linalg.eigh(g)
-    g_isqrt = (v / np.sqrt(w)) @ v.conj().T
-    return [a @ g_isqrt for a in ops]
+    a = np.asarray(ops)
+    w, v = np.linalg.eigh((a.conj().swapaxes(-1, -2) @ a).sum(axis=0))
+    return a @ ((v / np.sqrt(w)) @ v.conj().T)
 
 
 def monotonicity_sweep(
@@ -221,4 +220,4 @@ def monotonicity_sweep(
             obs = validate_observable(random_hermitian(dim, rng))
         return monotonicity_check(ch, rho, measure=measure, observable=obs)
 
-    return indexed_map(one, samples)
+    return [one(i) for i in range(samples)]

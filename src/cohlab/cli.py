@@ -17,7 +17,7 @@ import sys
 from . import __version__
 from .coherence import coherence_report, k_coherence
 from .discord import discord_asym, discord_sym
-from .errors import CohlabError, DimensionMismatch, NotFinite
+from .errors import CohlabError, DimensionMismatch, NotFinite, ParseError
 from .fixtures import DISCORD_FIXTURES, fixture_report, k_coherence_counterexample
 from .measurement import estimate_measures, true_measures
 from .metrology import metrology_report
@@ -33,7 +33,10 @@ def _resolve_seed(args) -> int:
     if args.seed is not None:
         return int(args.seed)
     env = os.environ.get(ENV_SEED, "")
-    return int(env) if env else 0
+    try:
+        return int(env) if env else 0
+    except ValueError as exc:
+        raise ParseError(f"{ENV_SEED}={env!r} is not an integer") from exc
 
 
 def _meta(seed: int, **config) -> dict:
@@ -258,8 +261,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    args.seed = _resolve_seed(args)
     try:
+        args.seed = _resolve_seed(args)
         return args.func(args)
     except CohlabError as exc:
         print(json.dumps({"error": type(exc).__name__, "detail": str(exc)}))

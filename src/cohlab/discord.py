@@ -20,7 +20,7 @@ import numpy as np
 from .channels import KrausChannel, apply, is_incoherent, validate_channel
 from .coherence import c_skew, check_unitary
 from .errors import DimensionMismatch, NotIncoherentChannel
-from .linalg import DensityMatrix, sqrtm, tensor
+from .linalg import DensityMatrix, _bipartite_dims, sqrtm, tensor
 from .rand import as_rng
 
 CONVERGENCE_GAP = 1e-5
@@ -51,16 +51,9 @@ class DiscordResult:
     sweeps: int
 
 
-def _split_dims(rho: DensityMatrix, dims) -> tuple[int, int]:
-    da, db = (int(d) for d in dims)
-    if da * db != rho.dim:
-        raise DimensionMismatch(f"dims {dims} do not factor state dimension {rho.dim}")
-    return da, db
-
-
 def subsystem_coherence(rho_ab: DensityMatrix, dims, u=None) -> float:
     """Summed skew information with the projectors U|k><k|U^dag (x) I_B."""
-    da, db = _split_dims(rho_ab, dims)
+    da, db = _bipartite_dims(rho_ab, dims)
     t = sqrtm(rho_ab).reshape(da, db, da, db)
     if u is not None:
         u = check_unitary(u, da)
@@ -71,7 +64,7 @@ def subsystem_coherence(rho_ab: DensityMatrix, dims, u=None) -> float:
 
 def product_basis_coherence(rho_ab: DensityMatrix, dims, basis: LocalBasis | None = None) -> float:
     """Joint coherence in a local product basis; the identity basis gives c_skew."""
-    da, db = _split_dims(rho_ab, dims)
+    da, db = _bipartite_dims(rho_ab, dims)
     s = sqrtm(rho_ab)
     if basis is not None:
         w = np.kron(check_unitary(basis.u_a, da), check_unitary(basis.u_b, db))
@@ -143,7 +136,7 @@ def _sweep(m, ua, ub, kept, active):
 
 def _solve(rho_ab, dims, restarts, max_iters, tol, seed, sym) -> DiscordResult:
     """Sweep every start as one stack; the best restart, its value recomputed from its bases."""
-    da, db = _split_dims(rho_ab, dims)
+    da, db = _bipartite_dims(rho_ab, dims)
     s = sqrtm(rho_ab)
     ua, ub = _starts(s, (da, db), max(restarts, 1), seed, sym)
     w = np.einsum("rac,rbd->rabcd", ua, ub).reshape(len(ua), da * db, da * db)

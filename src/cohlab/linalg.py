@@ -90,6 +90,14 @@ class DensityMatrix:
         return _sqrt_diag(self.eigenvalues, self.eigenvectors)
 
 
+def _bipartite_dims(rho: DensityMatrix, dims) -> tuple[int, int]:
+    """``dims`` as ``(d_a, d_b)``: two positive integers whose product is ``rho.dim``."""
+    dims = tuple(int(d) for d in dims)
+    if len(dims) != 2 or min(dims) < 1 or dims[0] * dims[1] != rho.dim:
+        raise DimensionMismatch(f"dims {dims} are not two positive factors of dimension {rho.dim}")
+    return dims
+
+
 def _sqrt_diag(w: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Diagonal of sqrt(rho) from ``(w, v)``; a stack gets each state's bits (einsum would not)."""
     return ((np.abs(v) ** 2) @ np.sqrt(w)[..., None])[..., 0]
@@ -121,6 +129,7 @@ def _validated(a: np.ndarray, atol: float = ATOL):
     if herm_err > atol:
         raise NotHermitian(f"max |A - A^dag| = {herm_err:.3e} exceeds {atol:.1e}")
     h = (a + ah) / 2.0
+    _require_finite(h)  # entries near the float maximum overflow in a + ah
     tr = h.trace(axis1=-2, axis2=-1).real
     tr_err = np.abs(tr - 1.0)
     if np.maximum.reduce(tr_err, axis=None) > atol:

@@ -16,8 +16,8 @@ import numpy as np
 
 from .coherence import _c_skew_of, c_skew
 from .errors import BadPartition, DimensionMismatch, NegativeCount, NotPure
-from .linalg import RANK_TOL, DensityMatrix, _clean_spectrum, _validated, partial_trace
-from .linalg import validate_density
+from .linalg import RANK_TOL, DensityMatrix, _bipartite_dims, _clean_spectrum, _validated
+from .linalg import partial_trace, validate_density
 from .rand import _ginibre, child_rng
 
 PURITY_TOL = 1e-8
@@ -128,11 +128,8 @@ def _records(mat: np.ndarray, w: np.ndarray, v: np.ndarray, dims) -> list:
 
 def bipartite_record(rho_ab: DensityMatrix, dims) -> PolygamyRecord:
     """Collect marginal coherences, eigenstate sums and inequality inputs."""
-    da, db = (int(d) for d in dims)
-    if da * db != rho_ab.dim:
-        raise DimensionMismatch(f"dims {dims} do not factor state dimension {rho_ab.dim}")
     return _records(rho_ab.mat[None], rho_ab.eigenvalues[None], rho_ab.eigenvectors[None],
-                    (da, db))[0]
+                    _bipartite_dims(rho_ab, dims))[0]
 
 
 def _is_leaf(node) -> bool:

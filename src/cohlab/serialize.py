@@ -28,12 +28,12 @@ def _obj_matrix(obj, square: bool = True) -> np.ndarray:
     try:
         re = np.array(obj["re"], dtype=float)
         im = np.array(obj["im"], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"matrix object needs rectangular 're' and 'im': {exc}") from exc
     if re.shape != im.shape or re.ndim != 2:
         raise ParseError(f"'re' shape {re.shape} and 'im' shape {im.shape} disagree")
-    if "dim" in obj and square and re.shape != (int(obj["dim"]), int(obj["dim"])):
-        raise ParseError(f"declared dim {obj['dim']} does not match shape {re.shape}")
+    if "dim" in obj and square and re.shape != (obj["dim"],) * 2:
+        raise ParseError(f"declared dim {obj['dim']!r} does not match shape {re.shape}")
     return re + 1j * im
 
 
@@ -41,7 +41,7 @@ def load_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON or bad UTF-8
         raise ParseError(f"cannot read JSON from {path}: {exc}") from exc
 
 

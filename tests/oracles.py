@@ -194,3 +194,28 @@ def power_sum_jacobian_inverse_norm(lams):
     n = len(lams)
     j = np.array([(m + 1) * lams**m for m in range(n)])
     return float(np.linalg.norm(np.linalg.inv(j), ord=np.inf))
+
+
+def kraus_draws(rng, dim, n_kraus, incoherent):
+    """Kraus operators drawn one operator at a time, in the channel samplers' draw order.
+
+    Incoherent: one ``rng.permutation(dim)`` support per operator, then the
+    (n_kraus, dim) complex amplitudes normalized per column (the caller checks
+    that no column norm is tiny).  General: a complex normal block per operator,
+    real part then imaginary part, right-multiplied by (sum_n A_n^dag A_n)^(-1/2).
+    """
+    if incoherent:
+        rows = [rng.permutation(dim) for _ in range(n_kraus)]
+        amps = rng.standard_normal((n_kraus, dim)) + 1j * rng.standard_normal((n_kraus, dim))
+        amps = amps / np.sqrt((np.abs(amps) ** 2).sum(axis=0))
+        ops = []
+        for r, a in zip(rows, amps):
+            m = np.zeros((dim, dim), dtype=complex)
+            m[r, np.arange(dim)] = a
+            ops.append(m)
+        return ops
+    blocks = [rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+              for _ in range(n_kraus)]
+    w, v = np.linalg.eigh(sum(a.conj().T @ a for a in blocks))
+    g_isqrt = (v / np.sqrt(w)) @ v.conj().T
+    return [a @ g_isqrt for a in blocks]

@@ -1,5 +1,10 @@
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cohlab import (
     apply,
@@ -16,12 +21,14 @@ from cohlab import (
     validate_channel,
     validate_density,
 )
-from cohlab.channels import completeness_residual
+from cohlab.channels import COMPLETENESS_ATOL, KrausChannel, completeness_residual
 from cohlab.errors import DimensionMismatch, IncompleteChannel
 from cohlab.fixtures import (
     k_coherence_counterexample,
     printed_counterexample_ops,
 )
+from cohlab.serialize import read_channel, write_channel
+from oracles import kraus_draws
 
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
 
@@ -34,6 +41,74 @@ def test_validate_channel_rejects_incomplete():
 def test_validate_channel_rejects_empty():
     with pytest.raises(IncompleteChannel):
         validate_channel([])
+
+
+@pytest.mark.parametrize("ops", [
+    [np.ones(2) / np.sqrt(2.0)],
+    [np.eye(2)[None]],
+    np.eye(2),
+    [np.eye(2), np.eye(3)],
+    [np.eye(2), np.ones(2)],
+    [np.zeros((2, 0))],
+], ids=["1-d-operator", "3-d-operator", "bare-matrix", "ragged", "ragged-ndim", "empty-operator"])
+def test_validate_channel_rejects_bad_shapes(ops):
+    with pytest.raises(DimensionMismatch):
+        validate_channel(ops)
+
+
+def test_validate_channel_freezes_a_copy_of_the_stack():
+    iso = np.array([[[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]], dtype=complex)  # one 3x2 isometry
+    ch = validate_channel(iso)
+    assert ch.operators.shape == (1, 3, 2)
+    assert (ch.dim_in, ch.dim_out) == (2, 3)
+    assert not ch.operators.flags.writeable
+    iso[0, 0, 0] = 5.0  # the caller's array stays writable and unshared
+    assert ch.operators[0, 0, 0] == 1.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 4), st.integers(1, 4), st.integers(0, 2**16), st.floats(-1.5e-9, 1.5e-9))
+def test_completeness_boundary_is_the_residual(dim, n_kraus, seed, eps):
+    # scaling by 1 + eps moves the residual to about 2|eps|, across COMPLETENESS_ATOL
+    ops = random_channel(dim, n_kraus, seed).operators * (1.0 + eps)
+    ok = completeness_residual(ops) <= COMPLETENESS_ATOL
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "channel.json")
+        write_channel(path, KrausChannel(ops))
+        for load in (lambda: validate_channel(ops), lambda: read_channel(path)):
+            if ok:
+                assert np.array_equal(load().operators, ops)
+            else:
+                with pytest.raises(IncompleteChannel):
+                    load()
+
+
+def test_stacked_kernels_match_per_operator_loop():
+    for i in range(60):
+        rng = child_rng(704, i)
+        d = int(rng.integers(2, 10))
+        make = random_incoherent_channel if i % 2 else random_channel
+        ch = make(d, int(rng.integers(1, d + 2)), rng)
+        rho = ginibre_mixed(d, rng)
+        terms = [m @ rho.mat @ m.conj().T for m in ch.operators]
+        assert np.array_equal(apply(ch, rho).mat, validate_density(sum(terms)).mat)
+        kept = [(float(t.trace().real), t) for t in terms if t.trace().real >= 1e-12]
+        outs = apply_selective(ch, rho)
+        assert [o.probability for o in outs] == [p for p, _ in kept]
+        for o, (p, t) in zip(outs, kept):
+            assert np.array_equal(o.state.mat, validate_density(t / p).mat)
+        verdict = monotonicity_check(ch, rho)
+        assert verdict.c_avg_after == float(sum(o.probability * c_skew(o.state) for o in outs))
+        assert verdict.c_after == c_skew(apply(ch, rho))
+
+
+@pytest.mark.parametrize("incoherent", [True, False], ids=["incoherent", "general"])
+def test_random_channels_match_per_operator_draws(incoherent):
+    make = random_incoherent_channel if incoherent else random_channel
+    for i in range(40):
+        dim, n_kraus = 2 + i % 4, 1 + i % 5
+        want = kraus_draws(child_rng(705, i), dim, n_kraus, incoherent)
+        assert np.array_equal(make(dim, n_kraus, child_rng(705, i)).operators, want)
 
 
 def test_permutation_channel_is_incoherent():

@@ -4,15 +4,18 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from contextlib import redirect_stdout
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cohlab
 from cohlab import ginibre_mixed, maximally_coherent, random_incoherent_channel
 from cohlab.cli import main
-from cohlab.errors import NotUnitTrace, ParseError, UnknownFixture
+from cohlab.errors import CohlabError, NotUnitTrace, ParseError, UnknownFixture
 from cohlab.fixtures import FIXTURE_NAMES, fixture_report
 from cohlab.serialize import (
     read_channel,
@@ -72,6 +75,41 @@ def test_malformed_json_raises_parse_error(tmp_path):
         read_state(str(path))
 
 
+def test_non_utf8_state_file_raises_parse_error(tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"dim": 1, "re": [[1.0]], "im": [[0.0]], "note": "\xe9"}')
+    with pytest.raises(ParseError):
+        read_state(str(path))
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=3),
+    max_leaves=8,
+)
+_ROWS = st.lists(st.lists(st.floats() | st.integers() | st.none(), max_size=3), max_size=3)
+_STATE_LIKE = st.fixed_dictionaries({"re": _ROWS | _JSON, "im": _ROWS | _JSON},
+                                    optional={"dim": _JSON | st.integers(0, 3)})
+
+
+@settings(max_examples=200, deadline=None)
+@given(_STATE_LIKE | _JSON)
+def test_read_state_raises_only_cohlab_errors(obj):
+    # the wrong types, ragged rows and non-dict roots that state files can hold
+    fd, path = tempfile.mkstemp(suffix=".json")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            json.dump(obj, fh)
+        try:
+            rho = read_state(path)
+        except CohlabError:
+            return
+        assert np.isfinite(rho.mat).all() and abs(rho.mat.trace() - 1.0) < 1e-9
+    finally:
+        os.remove(path)
+
+
 def test_compute_plus_state(plus_file):
     code, out = run_cli(["compute", "--input", plus_file])
     assert code == 0
@@ -125,6 +163,16 @@ def test_compute_non_finite_exits_2(tmp_path, entries):
     err = json.loads(out)
     assert err["error"] == "NotFinite"
     assert err["detail"]
+
+
+@pytest.mark.parametrize("dim", ["x", None, [2]])
+def test_compute_non_integer_dim_exits_2(tmp_path, dim):
+    path = tmp_path / "bad_dim.json"
+    path.write_text(json.dumps({"dim": dim, "re": [[0.5, 0.0], [0.0, 0.5]],
+                                "im": [[0.0, 0.0], [0.0, 0.0]]}))
+    code, out = run_cli(["compute", "--input", str(path)])
+    assert code == 2
+    assert json.loads(out)["error"] == "ParseError"
 
 
 def test_compute_non_finite_result_exits_2(tmp_path, plus_file):
@@ -294,6 +342,14 @@ def test_env_seed_override(plus_file, monkeypatch):
     assert json.loads(out)["meta"]["seed"] == 5
 
 
+def test_non_integer_env_seed_exits_2(plus_file, monkeypatch):
+    monkeypatch.setenv("COHLAB_SEED", "abc")
+    code, out = run_cli(["compute", "--input", plus_file])
+    assert code == 2
+    err = json.loads(out)
+    assert err["error"] == "ParseError" and "COHLAB_SEED" in err["detail"]
+
+
 def test_sweep_csv_bytes_are_pinned(tmp_path):
     # SHA-256 of this CSV as the per-sample sweep wrote it; the stacked sweep
     # must reproduce it byte for byte (the header embeds the package version)
@@ -303,6 +359,20 @@ def test_sweep_csv_bytes_are_pinned(tmp_path):
     assert code == 0
     digest = hashlib.sha256(out.read_bytes()).hexdigest()
     assert digest == "8a89a02415b2c711e50faf8b18691e8c7b59ccb93e10a94721b6ad3a47cb051f"
+
+
+@pytest.mark.parametrize("measure,dim,digest", [
+    ("skew", 4, "e8784ce48988ab135ac7310b2ae924aa1eca95f44cb609ad2f4ca34cfeca0d9a"),
+    ("k", 3, "dd80be78db2d2942baae454fe40d8749e731cb9a62621a0c922afe0e6a43a5ca"),
+])
+def test_monotonicity_csv_bytes_are_pinned(tmp_path, measure, dim, digest):
+    # SHA-256 of this CSV as the per-operator channel kernels wrote it; the
+    # stacked Kraus kernels must reproduce it byte for byte
+    out = tmp_path / "monotonicity.csv"
+    code, _ = run_cli(["monotonicity", "--measure", measure, "--dim", str(dim), "--samples", "80",
+                       "--seed", "9", "--out", str(out)])
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def test_cli_import_loads_no_scipy():

@@ -60,6 +60,12 @@ def test_validate_rejects_negative_eigenvalue():
         validate_density(np.diag([1.5, -0.5]))
 
 
+def test_validate_rejects_overflow_when_symmetrizing():
+    # finite entries whose sum a + a^dag overflows once gave an all-NaN state
+    with pytest.raises(NotFinite):
+        validate_density(np.array([[0.5, 1e308], [1e308, 0.5]]))
+
+
 def test_validate_rejects_non_square():
     with pytest.raises(DimensionMismatch):
         validate_density(np.ones((2, 3)))

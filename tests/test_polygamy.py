@@ -20,6 +20,7 @@ from cohlab import (
     sweep_summary,
     tensor,
 )
+from cohlab.discord import discord_sym, subsystem_coherence
 from cohlab.errors import BadPartition, DimensionMismatch, NotPure
 from cohlab.fixtures import max_coherent_pair, qubit_mixture_counterexample
 from cohlab.linalg import RANK_TOL, partial_trace, validate_density
@@ -327,6 +328,14 @@ def test_stacked_records_mixing_ranks_match_single_states():
 def test_sweep_rejects_non_positive_dims(dims):
     with pytest.raises(DimensionMismatch):
         sweep_polygamy(dims, 5, seed=1)
+
+
+@pytest.mark.parametrize("dims", [(2, 2, 1), (4,), (-2, -2), (2, 3)])
+@pytest.mark.parametrize("fn", [bipartite_record, discord_sym, subsystem_coherence],
+                         ids=["bipartite_record", "discord_sym", "subsystem_coherence"])
+def test_bipartite_functions_reject_bad_dims(fn, dims):
+    with pytest.raises(DimensionMismatch):
+        fn(maximally_coherent(4), dims)
 
 
 def test_qubit_violation_search_replays():
