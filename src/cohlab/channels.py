@@ -6,15 +6,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coherence import Observable, c_skew, k_coherence, validate_observable
+from .coherence import Observable, _c_skew_of, _k_of, validate_observable
 from .errors import (
     DimensionMismatch,
     IncompleteChannel,
     InfeasiblePattern,
     NegativeCount,
 )
-from .linalg import DensityMatrix, _frozen, _require_finite, validate_density
-from .rand import as_rng, child_rng, ginibre_mixed, random_hermitian, _complex_normal
+from .linalg import CHUNK_ENTRIES, DensityMatrix, _frozen, _require_finite, _validated
+from .linalg import validate_density
+from .rand import _complex_normal, _ginibre, as_rng, child_rng, random_hermitian
 
 COMPLETENESS_ATOL = 1e-9
 SUPPORT_TOL = 1e-12
@@ -128,25 +129,53 @@ def monotonicity_check(
     runs for any channel and records the verdict; incoherence of the channel
     is the caller's claim to assert.
     """
-    if measure == "skew":
-        f = c_skew
-    elif measure == "k":
+    if ch.dim_in != rho.dim:
+        raise DimensionMismatch(f"channel input dim {ch.dim_in} != state dim {rho.dim}")
+    ks = None
+    if measure == "k":
         if observable is None:
             raise DimensionMismatch("measure 'k' needs an observable")
-        f = lambda r: k_coherence(r, observable)
+        if not observable.dim == ch.dim_out == rho.dim:
+            raise DimensionMismatch(f"observable dim {observable.dim} != state dim {rho.dim}")
+        ks = observable.mat[None]
+    state = (rho.mat[None], rho.eigenvalues[None], rho.eigenvectors[None])
+    return _verdicts([ch.operators], *state, measure, ks, tol)[0]
+
+
+def _verdicts(ops_list, mat, w, v, measure: str, ks, tol: float = MONOTONE_TOL) -> list:
+    """Verdict of each validated state ``(mat[j], w[j], v[j])`` under the Kraus stack ``ops_list[j]``.
+
+    ``ks[j]`` is the observable of state ``j`` for the ``"k"`` measure.  The
+    outcomes of all states are validated as one stack, and so are the channel
+    outputs; the average over outcomes is a Python sum in outcome order.
+    """
+    if measure == "skew":
+        coherence = lambda mat, w, v, owners: _c_skew_of(w, v)
+    elif measure == "k":
+        coherence = lambda mat, w, v, owners: _k_of(mat, w, v, ks[owners])
     else:
         raise DimensionMismatch(f"unknown measure {measure!r}")
-    c_before = f(rho)
-    terms = _terms(ch, rho)
-    c_avg = float(sum(o.probability * f(o.state) for o in _outcomes(terms)))
-    c_after = f(validate_density(terms.sum(axis=0)))
-    return MonotonicityVerdict(
-        c_before=c_before,
-        c_avg_after=c_avg,
-        c_after=c_after,
-        strong_ok=c_avg <= c_before + tol,
-        weak_ok=c_after <= c_before + tol,
-    )
+    counts = [len(ops) for ops in ops_list]
+    owner = np.repeat(np.arange(len(counts)), counts)
+    ops = np.concatenate(ops_list)
+    terms = ops @ mat[owner] @ ops.conj().swapaxes(-1, -2)
+    probs = terms.trace(axis1=-2, axis2=-1).real
+    kept = probs >= OUTCOME_TOL
+    outcomes = _validated(terms[kept] / probs[kept, None, None])
+    # sum(axis=0) per sample: np.add.reduceat sums in another order and changes the bits
+    after = _validated(np.stack([t.sum(axis=0) for t in np.split(terms, np.cumsum(counts[:-1]))]))
+    samples = np.arange(len(counts))
+    c_before = coherence(mat, w, v, samples).tolist()
+    c_after = coherence(*after, samples).tolist()
+    kept_owner = owner[kept]
+    weighted = [[] for _ in counts]
+    for j, pc in zip(kept_owner.tolist(), (probs[kept] * coherence(*outcomes, kept_owner)).tolist()):
+        weighted[j].append(pc)
+    c_avg = [float(sum(pcs)) for pcs in weighted]
+    return [
+        MonotonicityVerdict(b, a, f, strong_ok=a <= b + tol, weak_ok=f <= b + tol)
+        for b, a, f in zip(c_before, c_avg, c_after)
+    ]
 
 
 def random_incoherent_channel(dim: int, n_kraus: int, rng, max_tries: int = 20) -> KrausChannel:
@@ -201,23 +230,28 @@ def monotonicity_sweep(
     seed: int,
     n_kraus: int | None = None,
 ) -> list:
-    """Seeded sweep of monotonicity checks over random incoherent channels.
+    """Seeded sweep of monotonicity checks over random incoherent channels, in chunks.
 
     Sample ``i`` draws everything from its own child generator: the channel,
     a Ginibre state and (for the ``"k"`` measure) a random observable.
-    Returns one ``MonotonicityVerdict`` per sample, in sample order.
+    Returns one ``MonotonicityVerdict`` per sample, in sample order, each
+    equal to ``monotonicity_check`` of that sample.
     """
     if samples < 0:
         raise NegativeCount(f"sample count {samples} is negative")
-
-    def one(i: int) -> MonotonicityVerdict:
-        rng = child_rng(seed, i)
-        nk = n_kraus if n_kraus is not None else int(rng.integers(1, dim + 2))
-        ch = random_incoherent_channel(dim, nk, rng)
-        rho = ginibre_mixed(dim, rng)
-        obs = None
-        if measure == "k":
-            obs = validate_observable(random_hermitian(dim, rng))
-        return monotonicity_check(ch, rho, measure=measure, observable=obs)
-
-    return [one(i) for i in range(samples)]
+    if dim < 1:
+        raise DimensionMismatch(f"dimension {dim} is not positive")
+    # the outcome stack, up to max_kraus * dim^2 entries per sample, is the largest
+    chunk = max(1, CHUNK_ENTRIES // ((n_kraus or dim + 1) * dim * dim))
+    verdicts = []
+    for start in range(0, samples, chunk):
+        ops, states, ks = [], [], []
+        for i in range(start, min(start + chunk, samples)):
+            rng = child_rng(seed, i)
+            nk = n_kraus if n_kraus is not None else int(rng.integers(1, dim + 2))
+            ops.append(random_incoherent_channel(dim, nk, rng).operators)
+            states.append(_ginibre(dim, rng))
+            if measure == "k":
+                ks.append(validate_observable(random_hermitian(dim, rng)).mat)
+        verdicts += _verdicts(ops, *_validated(np.stack(states)), measure, np.array(ks))
+    return verdicts

@@ -164,10 +164,15 @@ def k_coherence(rho: DensityMatrix, obs: Observable) -> float:
     """
     if rho.dim != obs.dim:
         raise DimensionMismatch(f"state dim {rho.dim} != observable dim {obs.dim}")
-    k = obs.mat
-    s = sqrtm(rho)
+    return float(_k_of(rho.mat, rho.eigenvalues, rho.eigenvectors, obs.mat))
+
+
+def _k_of(mat: np.ndarray, w: np.ndarray, v: np.ndarray, k: np.ndarray):
+    """k_coherence from a state ``(mat, w, v)`` and an observable ``k``, or from stacks of them."""
+    s = (v * np.sqrt(w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
+    s = (s + s.conj().swapaxes(-1, -2)) / 2.0
     sk = s @ k
-    return float((np.trace(rho.mat @ k @ k) - np.trace(sk @ sk)).real)
+    return (np.trace(mat @ k @ k, axis1=-2, axis2=-1) - np.trace(sk @ sk, axis1=-2, axis2=-1)).real
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,7 @@ from .errors import (
 
 ATOL = 1e-9
 RANK_TOL = 1e-10
+CHUNK_ENTRIES = 8192  # matrix entries in the largest stack a sweep builds; bounds its memory
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -78,10 +79,6 @@ class DensityMatrix:
     def purity(self) -> float:
         return float(np.sum(self.eigenvalues**2))
 
-    def min_nonzero_eigenvalue(self) -> float:
-        w = self.eigenvalues[self.eigenvalues > RANK_TOL]
-        return float(w[-1])
-
     def diag(self) -> np.ndarray:
         return self.mat.diagonal().real
 
@@ -128,7 +125,8 @@ def _validated(a: np.ndarray, atol: float = ATOL):
     herm_err = float(np.maximum.reduce(np.abs(a - ah), axis=None))
     if herm_err > atol:
         raise NotHermitian(f"max |A - A^dag| = {herm_err:.3e} exceeds {atol:.1e}")
-    h = (a + ah) / 2.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = (a + ah) / 2.0
     _require_finite(h)  # entries near the float maximum overflow in a + ah
     tr = h.trace(axis1=-2, axis2=-1).real
     tr_err = np.abs(tr - 1.0)

@@ -16,13 +16,12 @@ import numpy as np
 
 from .coherence import _c_skew_of, c_skew
 from .errors import BadPartition, DimensionMismatch, NegativeCount, NotPure
-from .linalg import RANK_TOL, DensityMatrix, _bipartite_dims, _clean_spectrum, _validated
-from .linalg import partial_trace, validate_density
+from .linalg import CHUNK_ENTRIES, RANK_TOL, DensityMatrix, _bipartite_dims, _clean_spectrum
+from .linalg import _validated, partial_trace, validate_density
 from .rand import _ginibre, child_rng
 
 PURITY_TOL = 1e-8
 GAP_TOL = 1e-9
-CHUNK_ENTRIES = 8192  # matrix entries per stack in sweep_polygamy; bounds its memory
 
 
 def pure_polygamy_gap(psi: DensityMatrix, dims) -> float:
@@ -232,9 +231,10 @@ def sweep_polygamy(dims, n_samples: int, seed: int) -> list:
 
     Record ``i`` equals ``bipartite_record`` of the state drawn from ``child_rng(seed, i)``.
     """
-    da, db = (int(d) for d in dims)
-    if da < 1 or db < 1:
-        raise DimensionMismatch(f"dims {dims} must be positive")
+    dims = tuple(int(d) for d in dims)
+    if len(dims) != 2 or min(dims) < 1:
+        raise DimensionMismatch(f"dims {dims} are not two positive integers")
+    da, db = dims
     if n_samples < 0:
         raise NegativeCount(f"sample count {n_samples} is negative")
     dim = da * db

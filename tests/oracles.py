@@ -4,7 +4,8 @@ These deliberately avoid the package's computational paths: square roots go
 through a singular value decomposition, skew quantities through literal commutator
 traces, the Fisher information through a fidelity finite difference, and the
 discord through an exhaustive product-basis grid with local grid refinement or,
-for a qubit A, the local-quantum-uncertainty closed form.
+for a qubit A, the local-quantum-uncertainty closed form.  The monotonicity
+reference checks one sample at a time through the single-state channel maps.
 """
 
 import numpy as np
@@ -219,3 +220,37 @@ def kraus_draws(rng, dim, n_kraus, incoherent):
     w, v = np.linalg.eigh(sum(a.conj().T @ a for a in blocks))
     g_isqrt = (v / np.sqrt(w)) @ v.conj().T
     return [a @ g_isqrt for a in blocks]
+
+
+def monotonicity_reference(ch, rho, measure="skew", obs=None, tol=1e-9):
+    """Monotonicity verdict of one state, each outcome and the output validated on its own.
+
+    The selective outcomes come from ``apply_selective`` and the output from
+    ``apply``; the average is a Python sum of p * C in outcome order.
+    """
+    from cohlab import MonotonicityVerdict, apply, apply_selective, c_skew, k_coherence
+
+    f = c_skew if measure == "skew" else (lambda r: k_coherence(r, obs))
+    c_before = f(rho)
+    c_avg = float(sum(o.probability * f(o.state) for o in apply_selective(ch, rho)))
+    c_after = f(apply(ch, rho))
+    return MonotonicityVerdict(c_before, c_avg, c_after, c_avg <= c_before + tol,
+                               c_after <= c_before + tol)
+
+
+def monotonicity_sweep_reference(measure, samples, dim, seed, n_kraus=None):
+    """Per-sample loop of ``monotonicity_sweep``: draw sample i from its child generator
+    (Kraus count, channel, Ginibre state, observable) and check it alone."""
+    from cohlab import child_rng, ginibre_mixed, random_incoherent_channel
+    from cohlab.coherence import validate_observable
+    from cohlab.rand import random_hermitian
+
+    verdicts = []
+    for i in range(samples):
+        rng = child_rng(seed, i)
+        nk = n_kraus if n_kraus is not None else int(rng.integers(1, dim + 2))
+        ch = random_incoherent_channel(dim, nk, rng)
+        rho = ginibre_mixed(dim, rng)
+        obs = validate_observable(random_hermitian(dim, rng)) if measure == "k" else None
+        verdicts.append(monotonicity_reference(ch, rho, measure, obs))
+    return verdicts

@@ -22,13 +22,15 @@ from cohlab import (
     validate_density,
 )
 from cohlab.channels import COMPLETENESS_ATOL, KrausChannel, completeness_residual
+from cohlab.coherence import validate_observable
 from cohlab.errors import DimensionMismatch, IncompleteChannel
+from cohlab.rand import random_hermitian
 from cohlab.fixtures import (
     k_coherence_counterexample,
     printed_counterexample_ops,
 )
 from cohlab.serialize import read_channel, write_channel
-from oracles import kraus_draws
+from oracles import kraus_draws, monotonicity_reference, monotonicity_sweep_reference
 
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
 
@@ -238,6 +240,46 @@ def test_strong_monotonicity_sweep():
     assert all(v.weak_ok for v in verdicts)
 
 
+@pytest.mark.parametrize("measure,dim,samples", [
+    ("skew", 2, 80), ("skew", 3, 80), ("skew", 4, 80), ("skew", 5, 80),
+    ("k", 3, 80), ("k", 4, 80),
+    ("skew", 8, 300), ("k", 6, 100),  # several chunks, the last one partial
+])
+@pytest.mark.parametrize("n_kraus", [None, 2])
+def test_sweep_matches_per_sample_reference(measure, dim, samples, n_kraus):
+    for seed in (0, 7, 12345):
+        want = monotonicity_sweep_reference(measure, samples, dim, seed, n_kraus)
+        assert monotonicity_sweep(measure, samples, dim, seed, n_kraus) == want
+
+
+@pytest.mark.parametrize("dim", [0, -1])
+def test_sweep_rejects_non_positive_dim(dim):
+    with pytest.raises(DimensionMismatch):
+        monotonicity_sweep("skew", 5, dim, seed=1)
+
+
+def test_check_matches_reference_on_general_channels_and_fixture():
+    for i in range(120):
+        rng = child_rng(706, i)
+        d = int(rng.integers(2, 7))
+        make = random_incoherent_channel if i % 2 else random_channel
+        ch = make(d, int(rng.integers(1, d + 2)), rng)
+        rho = ginibre_mixed(d, rng)
+        obs = validate_observable(random_hermitian(d, rng))
+        assert monotonicity_check(ch, rho) == monotonicity_reference(ch, rho)
+        want = monotonicity_reference(ch, rho, "k", obs)
+        assert monotonicity_check(ch, rho, measure="k", observable=obs) == want
+    rho, ch, obs = k_coherence_counterexample()
+    skew = monotonicity_check(ch, rho)
+    assert (skew.c_before, skew.c_avg_after, skew.c_after) == (
+        0.07907741588993877, 0.07749689039655486, 0.04948324191676701)
+    k = monotonicity_check(ch, rho, measure="k", observable=obs)
+    assert (k.c_before, k.c_avg_after, k.c_after) == (
+        0.22716950367833277, 1.2884125215736806, 0.7929516978219162)
+    assert skew == monotonicity_reference(ch, rho)
+    assert k == monotonicity_reference(ch, rho, "k", obs)
+
+
 def test_mixing_convexity_of_outcomes():
     for i in range(100):
         rng = child_rng(703, i)
@@ -253,6 +295,10 @@ def test_dimension_mismatch_raises():
     ch = random_incoherent_channel(3, 2, 0)
     with pytest.raises(DimensionMismatch):
         apply(ch, ginibre_mixed(2, 0))
+    with pytest.raises(DimensionMismatch):
+        monotonicity_check(ch, ginibre_mixed(2, 0))
+    with pytest.raises(DimensionMismatch):
+        monotonicity_check(ch, ginibre_mixed(3, 0), measure="k", observable=validate_observable(np.eye(2)))
 
 
 def test_maximally_coherent_unaffected_probability_structure():

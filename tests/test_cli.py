@@ -277,6 +277,13 @@ def test_negative_sample_count_exits_2(argv):
     assert json.loads(out)["error"] == "NegativeCount"
 
 
+@pytest.mark.parametrize("dim", ["0", "-1"])
+def test_monotonicity_non_positive_dim_exits_2(dim):
+    code, out = run_cli(["monotonicity", "--measure", "skew", "--dim", dim])
+    assert code == 2
+    assert json.loads(out) == {"error": "DimensionMismatch", "detail": f"dimension {dim} is not positive"}
+
+
 def test_monotonicity_fixture_row():
     code, out = run_cli(["monotonicity", "--measure", "k", "--fixture", "appendix-a"])
     assert code == 0

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -62,8 +64,10 @@ def test_validate_rejects_negative_eigenvalue():
 
 def test_validate_rejects_overflow_when_symmetrizing():
     # finite entries whose sum a + a^dag overflows once gave an all-NaN state
-    with pytest.raises(NotFinite):
-        validate_density(np.array([[0.5, 1e308], [1e308, 0.5]]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # and numpy warns no RuntimeWarning on the way
+        with pytest.raises(NotFinite):
+            validate_density(np.array([[0.5, 1e308], [1e308, 0.5]]))
 
 
 def test_validate_rejects_non_square():

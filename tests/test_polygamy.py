@@ -23,8 +23,8 @@ from cohlab import (
 from cohlab.discord import discord_sym, subsystem_coherence
 from cohlab.errors import BadPartition, DimensionMismatch, NotPure
 from cohlab.fixtures import max_coherent_pair, qubit_mixture_counterexample
-from cohlab.linalg import RANK_TOL, partial_trace, validate_density
-from cohlab.polygamy import CHUNK_ENTRIES, _records
+from cohlab.linalg import CHUNK_ENTRIES, RANK_TOL, partial_trace, validate_density
+from cohlab.polygamy import _records
 from oracles import schmidt_marginal_coherences
 
 
@@ -326,6 +326,12 @@ def test_stacked_records_mixing_ranks_match_single_states():
 
 @pytest.mark.parametrize("dims", [(0, 3), (-2, 3)])
 def test_sweep_rejects_non_positive_dims(dims):
+    with pytest.raises(DimensionMismatch):
+        sweep_polygamy(dims, 5, seed=1)
+
+
+@pytest.mark.parametrize("dims", [(2, 2, 1), (4,), ()])
+def test_sweep_rejects_dims_of_wrong_length(dims):
     with pytest.raises(DimensionMismatch):
         sweep_polygamy(dims, 5, seed=1)
 
