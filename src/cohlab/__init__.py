@@ -13,13 +13,9 @@ from .linalg import (
     validate_density,
 )
 from .rand import (
-    MIXED_GINIBRE,
-    PURE_HAAR,
-    RandomStateSpec,
     child_rng,
     ginibre_mixed,
     haar_pure,
-    random_state,
     random_unitary,
 )
 from .coherence import (

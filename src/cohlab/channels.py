@@ -21,6 +21,7 @@ COMPLETENESS_ATOL = 1e-9
 SUPPORT_TOL = 1e-12
 OUTCOME_TOL = 1e-12
 MONOTONE_TOL = 1e-9
+MAX_TRIES = 20  # amplitude draws random_incoherent_channel makes before giving up
 
 
 @dataclass(frozen=True)
@@ -51,9 +52,10 @@ def completeness_residual(ops) -> float:
     return float(np.abs(acc - np.eye(ops.shape[-1])).max())
 
 
-def validate_channel(ops, atol: float = COMPLETENESS_ATOL) -> KrausChannel:
+def validate_channel(ops) -> KrausChannel:
     """Copy ``ops`` into one frozen stack; operators that are not 2-D of one shape raise
-    ``DimensionMismatch``, an empty or incomplete set ``IncompleteChannel``."""
+    ``DimensionMismatch``, an empty set or one incomplete beyond ``COMPLETENESS_ATOL``
+    ``IncompleteChannel``."""
     try:
         ops = np.array(ops, dtype=complex)
     except ValueError as exc:  # ragged shapes
@@ -64,18 +66,18 @@ def validate_channel(ops, atol: float = COMPLETENESS_ATOL) -> KrausChannel:
         raise DimensionMismatch(f"expected a stack of 2-D Kraus operators, got shape {ops.shape}")
     _require_finite(ops)
     res = completeness_residual(ops)
-    if res > atol:
-        raise IncompleteChannel(f"completeness residual {res:.3e} exceeds {atol:.1e}")
+    if res > COMPLETENESS_ATOL:
+        raise IncompleteChannel(f"completeness residual {res:.3e} exceeds {COMPLETENESS_ATOL:.1e}")
     return KrausChannel(_frozen(ops))
 
 
-def is_incoherent(ch: KrausChannel, tol: float = SUPPORT_TOL) -> bool:
+def is_incoherent(ch: KrausChannel) -> bool:
     """True iff every Kraus operator maps each basis column into a single ray.
 
-    At most one entry per column may exceed ``tol`` in modulus; this is the
-    exact condition for the operator to keep every diagonal state diagonal.
+    At most one entry per column may exceed ``SUPPORT_TOL`` in modulus; this is
+    the exact condition for the operator to keep every diagonal state diagonal.
     """
-    return not np.any((np.abs(ch.operators) > tol).sum(axis=1) > 1)
+    return not np.any((np.abs(ch.operators) > SUPPORT_TOL).sum(axis=1) > 1)
 
 
 def _terms(ch: KrausChannel, rho: DensityMatrix) -> np.ndarray:
@@ -120,14 +122,13 @@ def monotonicity_check(
     rho: DensityMatrix,
     measure: str = "skew",
     observable: Observable | None = None,
-    tol: float = MONOTONE_TOL,
 ) -> MonotonicityVerdict:
     """Evaluate strong and weak monotonicity of a measure under one channel.
 
     ``measure`` selects the projector-summed skew measure (``"skew"``) or the
     full-observable variant (``"k"``, requires ``observable``).  The check
     runs for any channel and records the verdict; incoherence of the channel
-    is the caller's claim to assert.
+    is the caller's claim to assert.  Both verdicts allow ``MONOTONE_TOL``.
     """
     if ch.dim_in != rho.dim:
         raise DimensionMismatch(f"channel input dim {ch.dim_in} != state dim {rho.dim}")
@@ -139,10 +140,10 @@ def monotonicity_check(
             raise DimensionMismatch(f"observable dim {observable.dim} != state dim {rho.dim}")
         ks = observable.mat[None]
     state = (rho.mat[None], rho.eigenvalues[None], rho.eigenvectors[None])
-    return _verdicts([ch.operators], *state, measure, ks, tol)[0]
+    return _verdicts([ch.operators], *state, measure, ks)[0]
 
 
-def _verdicts(ops_list, mat, w, v, measure: str, ks, tol: float = MONOTONE_TOL) -> list:
+def _verdicts(ops_list, mat, w, v, measure: str, ks) -> list:
     """Verdict of each validated state ``(mat[j], w[j], v[j])`` under the Kraus stack ``ops_list[j]``.
 
     ``ks[j]`` is the observable of state ``j`` for the ``"k"`` measure.  The
@@ -173,12 +174,12 @@ def _verdicts(ops_list, mat, w, v, measure: str, ks, tol: float = MONOTONE_TOL) 
         weighted[j].append(pc)
     c_avg = [float(sum(pcs)) for pcs in weighted]
     return [
-        MonotonicityVerdict(b, a, f, strong_ok=a <= b + tol, weak_ok=f <= b + tol)
+        MonotonicityVerdict(b, a, f, strong_ok=a <= b + MONOTONE_TOL, weak_ok=f <= b + MONOTONE_TOL)
         for b, a, f in zip(c_before, c_avg, c_after)
     ]
 
 
-def random_incoherent_channel(dim: int, n_kraus: int, rng, max_tries: int = 20) -> KrausChannel:
+def random_incoherent_channel(dim: int, n_kraus: int, rng) -> KrausChannel:
     """Random incoherent channel with ``n_kraus`` operators.
 
     Each operator gets an independent permutation support pattern with random
@@ -188,7 +189,7 @@ def random_incoherent_channel(dim: int, n_kraus: int, rng, max_tries: int = 20) 
     if n_kraus < 1:
         raise InfeasiblePattern("need at least one Kraus operator")
     rng = as_rng(rng)
-    for _ in range(max_tries):
+    for _ in range(MAX_TRIES):
         # row n draws the same values as the n-th rng.permutation(dim) call
         rows = rng.permuted(np.tile(np.arange(dim), (n_kraus, 1)), axis=1)
         amps = _complex_normal(rng, (n_kraus, dim))
@@ -198,7 +199,7 @@ def random_incoherent_channel(dim: int, n_kraus: int, rng, max_tries: int = 20) 
         ops = np.zeros((n_kraus, dim, dim), dtype=complex)
         ops[np.arange(n_kraus)[:, None], rows, np.arange(dim)] = amps / norms
         return validate_channel(ops)
-    raise InfeasiblePattern(f"no valid amplitude pattern after {max_tries} tries")
+    raise InfeasiblePattern(f"no valid amplitude pattern after {MAX_TRIES} tries")
 
 
 def random_channel(dim: int, n_kraus: int, rng) -> KrausChannel:

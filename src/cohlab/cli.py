@@ -3,8 +3,9 @@
 Every run with identical arguments and seed is byte-identical;
 each output artifact embeds the seed, package version and the effective
 configuration.  Single results print as JSON, sweeps emit CSV (to stdout, or
-to ``--out`` with a summary on stdout).  Validation failures exit with code 2
-and a machine-readable error object; fixture tables exit 1 when a row fails.
+to ``--out`` with a summary on stdout).  Validation failures, bad arguments
+included, exit with code 2 and a machine-readable error object; fixture tables
+exit 1 when a row fails.
 """
 
 from __future__ import annotations
@@ -196,8 +197,15 @@ def cmd_simulate_measure(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument errors raise ``ParseError`` (subparsers inherit the class) instead of exiting."""
+
+    def error(self, message):
+        raise ParseError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cohlab",
         description="Coherence measures, distribution inequalities and "
                     "measurement simulation for small quantum states.",
@@ -260,8 +268,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         args.seed = _resolve_seed(args)
         return args.func(args)
     except CohlabError as exc:

@@ -16,10 +16,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateState, DimensionMismatch, NotHermitian
-from .linalg import DensityMatrix, _require_finite, _sqrt_diag, sqrtm, validate_density
-
-UNITARY_ATOL = 1e-9
+from .errors import DimensionMismatch
+from .linalg import ATOL, DensityMatrix, _frozen, _from_spectrum, _hermitian, _require_finite
+from .linalg import _sqrt_diag, _square, sqrtm, validate_density
 
 
 @dataclass(frozen=True)
@@ -33,28 +32,21 @@ class Observable:
         return self.mat.shape[0]
 
 
-def validate_observable(entries, atol: float = UNITARY_ATOL) -> Observable:
-    a = np.asarray(entries, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
-    _require_finite(a)
-    err = float(np.abs(a - a.conj().T).max())
-    if err > atol:
-        raise NotHermitian(f"max |K - K^dag| = {err:.3e} exceeds {atol:.1e}")
-    h = (a + a.conj().T) / 2.0
-    h.setflags(write=False)
-    return Observable(h)
+def validate_observable(entries) -> Observable:
+    """Observable of the Hermitian part of a finite square matrix within ``ATOL`` of Hermitian."""
+    return Observable(_frozen(_hermitian(_square(entries))))
 
 
-def check_unitary(u, dim: int | None = None, atol: float = UNITARY_ATOL) -> np.ndarray:
-    u = np.asarray(u, dtype=complex)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got shape {u.shape}")
+def check_unitary(u, dim: int | None = None) -> np.ndarray:
+    """``u`` as a complex matrix if it is finite, ``dim``-dimensional when ``dim`` is given
+    and unitary within ``ATOL``; ``DimensionMismatch`` or ``NotFinite`` otherwise."""
+    u = _square(u)
     if dim is not None and u.shape[0] != dim:
         raise DimensionMismatch(f"unitary is {u.shape[0]}-dimensional, expected {dim}")
     _require_finite(u)
-    err = float(np.abs(u.conj().T @ u - np.eye(u.shape[0])).max())
-    if err > atol:
+    with np.errstate(over="ignore", invalid="ignore"):
+        err = float(np.abs(u.conj().T @ u - np.eye(u.shape[0])).max())
+    if not err <= ATOL:  # finite entries can overflow to a NaN residual
         raise DimensionMismatch(f"matrix is not unitary: residual {err:.3e}")
     return u
 
@@ -65,22 +57,21 @@ def rotated(rho: DensityMatrix, u) -> DensityMatrix:
     return validate_density(u.conj().T @ rho.mat @ u)
 
 
-def skew_info(rho: DensityMatrix, k: int, basis=None) -> float:
+def skew_info(rho: DensityMatrix, k: int) -> float:
     """Skew information of the state with the projector onto basis state ``k``.
 
     Equals ``<k|rho|k> - <k|sqrt(rho)|k>^2`` and lies in [0, 1/4].
     """
-    if basis is not None:
-        rho = rotated(rho, basis)
     if not 0 <= k < rho.dim:
         raise DimensionMismatch(f"index {k} out of range for dimension {rho.dim}")
     return float(rho.diag()[k] - rho.sqrt_diag()[k] ** 2)
 
 
-def c_skew(rho: DensityMatrix, basis=None) -> float:
-    """Skew-information coherence, ``1 - sum_k <k|sqrt(rho)|k>^2``."""
-    if basis is not None:
-        rho = rotated(rho, basis)
+def c_skew(rho: DensityMatrix) -> float:
+    """Skew-information coherence, ``1 - sum_k <k|sqrt(rho)|k>^2``.
+
+    In the basis whose columns are ``u`` it is ``c_skew(rotated(rho, u))``.
+    """
     return float(_c_skew_of(rho.eigenvalues, rho.eigenvectors))
 
 
@@ -93,13 +84,11 @@ def _c_skew_of(w: np.ndarray, v: np.ndarray):
 def optimal_incoherent_state(rho: DensityMatrix) -> DensityMatrix:
     """Diagonal state maximizing the affinity with ``rho``.
 
-    The optimum has diagonal proportional to ``<k|sqrt(rho)|k>^2``.
+    The optimum has diagonal proportional to ``<k|sqrt(rho)|k>^2``, whose sum
+    is at least ``(Tr sqrt(rho))^2 / dim >= 1 / dim``.
     """
     w = rho.sqrt_diag() ** 2
-    tot = float(w.sum())
-    if tot <= 0.0:
-        raise DegenerateState("all diagonal square-root entries vanish")
-    return validate_density(np.diag(w / tot))
+    return validate_density(np.diag(w / float(w.sum())))
 
 
 def affinity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
@@ -169,9 +158,7 @@ def k_coherence(rho: DensityMatrix, obs: Observable) -> float:
 
 def _k_of(mat: np.ndarray, w: np.ndarray, v: np.ndarray, k: np.ndarray):
     """k_coherence from a state ``(mat, w, v)`` and an observable ``k``, or from stacks of them."""
-    s = (v * np.sqrt(w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
-    s = (s + s.conj().swapaxes(-1, -2)) / 2.0
-    sk = s @ k
+    sk = _from_spectrum(np.sqrt(w), v) @ k
     return (np.trace(mat @ k @ k, axis1=-2, axis2=-1) - np.trace(sk @ sk, axis1=-2, axis2=-1)).real
 
 

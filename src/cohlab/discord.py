@@ -20,10 +20,11 @@ import numpy as np
 from .channels import KrausChannel, apply, is_incoherent, validate_channel
 from .coherence import c_skew, check_unitary
 from .errors import DimensionMismatch, NotIncoherentChannel
-from .linalg import DensityMatrix, _bipartite_dims, sqrtm, tensor
+from .linalg import DensityMatrix, _subsystem_dims, sqrtm, tensor
 from .rand import as_rng
 
 CONVERGENCE_GAP = 1e-5
+SWEEP_TOL = 1e-8  # a restart stops after a sweep that raises its kept weight by at most this
 
 
 @dataclass(frozen=True)
@@ -53,7 +54,7 @@ class DiscordResult:
 
 def subsystem_coherence(rho_ab: DensityMatrix, dims, u=None) -> float:
     """Summed skew information with the projectors U|k><k|U^dag (x) I_B."""
-    da, db = _bipartite_dims(rho_ab, dims)
+    da, db = _subsystem_dims(rho_ab, dims, 2)
     t = sqrtm(rho_ab).reshape(da, db, da, db)
     if u is not None:
         u = check_unitary(u, da)
@@ -64,7 +65,7 @@ def subsystem_coherence(rho_ab: DensityMatrix, dims, u=None) -> float:
 
 def product_basis_coherence(rho_ab: DensityMatrix, dims, basis: LocalBasis | None = None) -> float:
     """Joint coherence in a local product basis; the identity basis gives c_skew."""
-    da, db = _bipartite_dims(rho_ab, dims)
+    da, db = _subsystem_dims(rho_ab, dims, 2)
     s = sqrtm(rho_ab)
     if basis is not None:
         w = np.kron(check_unitary(basis.u_a, da), check_unitary(basis.u_b, db))
@@ -134,9 +135,9 @@ def _sweep(m, ua, ub, kept, active):
         _rotate_pair(m.transpose(0, 2, 1, 4, 3), ub, np.array(pair), np.eye(da), active)
 
 
-def _solve(rho_ab, dims, restarts, max_iters, tol, seed, sym) -> DiscordResult:
+def _solve(rho_ab, dims, restarts, max_iters, seed, sym) -> DiscordResult:
     """Sweep every start as one stack; the best restart, its value recomputed from its bases."""
-    da, db = _bipartite_dims(rho_ab, dims)
+    da, db = _subsystem_dims(rho_ab, dims, 2)
     s = sqrtm(rho_ab)
     ua, ub = _starts(s, (da, db), max(restarts, 1), seed, sym)
     w = np.einsum("rac,rbd->rabcd", ua, ub).reshape(len(ua), da * db, da * db)
@@ -148,7 +149,7 @@ def _solve(rho_ab, dims, restarts, max_iters, tol, seed, sym) -> DiscordResult:
         _sweep(m, ua, ub if sym else None, kept, active)
         sweeps += active
         new = _kept_weight(m, kept)
-        active &= new - weight > tol
+        active &= new - weight > SWEEP_TOL
         weight = new
     best = int(np.argmax(weight))
     basis = local_basis(ua[best], ub[best])
@@ -159,23 +160,23 @@ def _solve(rho_ab, dims, restarts, max_iters, tol, seed, sym) -> DiscordResult:
 
 
 def discord_sym(rho_ab: DensityMatrix, dims, restarts: int = 32, max_iters: int = 2000,
-                tol: float = 1e-8, seed: int = 0) -> DiscordResult:
+                seed: int = 0) -> DiscordResult:
     """Symmetric discord: minimal joint coherence over local product bases.
 
     The ``restarts`` starts are swept together; each stops after ``max_iters`` sweeps
-    or a sweep that raises its summed squared diagonal by at most ``tol``.
+    or a sweep that raises its summed squared diagonal by at most ``SWEEP_TOL``.
     """
-    return _solve(rho_ab, dims, restarts, max_iters, tol, seed, True)
+    return _solve(rho_ab, dims, restarts, max_iters, seed, True)
 
 
 def discord_asym(rho_ab: DensityMatrix, dims, restarts: int = 32, max_iters: int = 2000,
-                 tol: float = 1e-8, seed: int = 0) -> DiscordResult:
+                 seed: int = 0) -> DiscordResult:
     """Asymmetric discord: minimal A-subspace coherence over bases of A (``u_b`` is I).
 
-    Exact for a qubit A.  ``restarts``, ``max_iters`` and ``tol`` act as in
+    Exact for a qubit A.  ``restarts`` and ``max_iters`` act as in
     :func:`discord_sym`, on the summed squared A-diagonal blocks.
     """
-    return _solve(rho_ab, dims, restarts, max_iters, tol, seed, False)
+    return _solve(rho_ab, dims, restarts, max_iters, seed, False)
 
 
 def __getattr__(name):

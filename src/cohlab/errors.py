@@ -29,10 +29,6 @@ class DimensionMismatch(CohlabError):
     """Operands have incompatible shapes or subsystem dimensions."""
 
 
-class DegenerateState(CohlabError):
-    """All diagonal square-root entries vanish (impossible for a valid state)."""
-
-
 class IncompleteChannel(CohlabError):
     """Kraus operators do not sum to the identity."""
 

@@ -8,6 +8,7 @@ a pure function.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +22,7 @@ from .errors import (
     NotUnitTrace,
 )
 
-ATOL = 1e-9
+ATOL = 1e-9  # the one tolerance of the input gate: Hermiticity, unit trace, PSD, unitarity
 RANK_TOL = 1e-10
 CHUNK_ENTRIES = 8192  # matrix entries in the largest stack a sweep builds; bounds its memory
 
@@ -34,11 +35,46 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 def _require_finite(a: np.ndarray):
     """Raise ``NotFinite`` if any entry is NaN or infinite.
 
-    Validators call this before their tolerance checks, since ``err > atol``
+    Validators call this before their tolerance checks, since ``err > ATOL``
     is false when ``err`` is NaN.
     """
     if not np.isfinite(a).all():
         raise NotFinite("input has NaN or infinite entries")
+
+
+def _square(entries) -> np.ndarray:
+    """First check of the input gate: ``entries`` as a non-empty square complex matrix."""
+    try:
+        a = np.asarray(entries, dtype=complex)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DimensionMismatch(f"expected a square matrix: {exc}") from exc
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
+        raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
+    return a
+
+
+def _hermitian(a: np.ndarray) -> np.ndarray:
+    """Second check of the input gate: the Hermitian part (A + A^dag)/2 of a matrix or stack.
+
+    Raises ``NotFinite`` for non-finite entries, also where finite entries
+    overflow in the sum, and ``NotHermitian`` beyond ``ATOL``.  The check
+    reduces over the whole stack (by ufunc, cheaper than ``.max()`` on scalars).
+    """
+    _require_finite(a)
+    ah = a.conj().swapaxes(-1, -2)
+    herm_err = float(np.maximum.reduce(np.abs(a - ah), axis=None))
+    if herm_err > ATOL:
+        raise NotHermitian(f"max |A - A^dag| = {herm_err:.3e} exceeds {ATOL:.1e}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = (a + ah) / 2.0
+    _require_finite(h)  # entries near the float maximum overflow in a + ah
+    return h
+
+
+def _from_spectrum(f: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Hermitized v diag(f) v^dag of one spectrum or a stack of them."""
+    m = (v * f[..., None, :]) @ v.conj().swapaxes(-1, -2)
+    return (m + m.conj().swapaxes(-1, -2)) / 2.0
 
 
 def _clean_spectrum(w: np.ndarray) -> np.ndarray:
@@ -87,11 +123,14 @@ class DensityMatrix:
         return _sqrt_diag(self.eigenvalues, self.eigenvectors)
 
 
-def _bipartite_dims(rho: DensityMatrix, dims) -> tuple[int, int]:
-    """``dims`` as ``(d_a, d_b)``: two positive integers whose product is ``rho.dim``."""
-    dims = tuple(int(d) for d in dims)
-    if len(dims) != 2 or min(dims) < 1 or dims[0] * dims[1] != rho.dim:
-        raise DimensionMismatch(f"dims {dims} are not two positive factors of dimension {rho.dim}")
+def _subsystem_dims(rho: DensityMatrix, dims, n: int | None = None) -> tuple:
+    """``dims`` as positive integers, ``n`` of them if given, whose product is ``rho.dim``."""
+    try:
+        dims = tuple(int(d) for d in dims)
+    except (TypeError, ValueError) as exc:
+        raise DimensionMismatch(f"dims must be integers: {exc}") from exc
+    if (n is not None and len(dims) != n) or min(dims, default=0) < 1 or math.prod(dims) != rho.dim:
+        raise DimensionMismatch(f"dims {dims} are not positive factors of dimension {rho.dim}")
     return dims
 
 
@@ -100,37 +139,25 @@ def _sqrt_diag(w: np.ndarray, v: np.ndarray) -> np.ndarray:
     return ((np.abs(v) ** 2) @ np.sqrt(w)[..., None])[..., 0]
 
 
-def validate_density(entries, atol: float = ATOL) -> DensityMatrix:
+def validate_density(entries) -> DensityMatrix:
     """Validate and canonicalize a density matrix.
 
     Symmetrizes roundoff-level Hermiticity drift, clips eigenvalues in
-    [-atol, 0) to zero, zeroes roundoff-scale ones, renormalizes the spectrum
-    and rebuilds the matrix.  Non-finite entries raise ``NotFinite``;
-    violations beyond ``atol`` raise ``NotHermitian``, ``NotUnitTrace`` or
+    [-ATOL, 0) to zero, zeroes roundoff-scale ones, renormalizes the spectrum
+    and rebuilds the matrix.  Anything but a non-empty square matrix raises
+    ``DimensionMismatch`` and non-finite entries raise ``NotFinite``;
+    violations beyond ``ATOL`` raise ``NotHermitian``, ``NotUnitTrace`` or
     ``NotPSD``.
     """
-    a = np.asarray(entries, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
-        raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
-    return DensityMatrix(*map(_frozen, _validated(a, atol)))
+    return DensityMatrix(*map(_frozen, _validated(_square(entries))))
 
 
-def _validated(a: np.ndarray, atol: float = ATOL):
-    """(mat, w, v) of a complex matrix or stack of matrices; validate_density's body.
-
-    Checks reduce over the whole stack (by ufunc, cheaper than ``.max()`` on scalars).
-    """
-    _require_finite(a)
-    ah = a.conj().swapaxes(-1, -2)
-    herm_err = float(np.maximum.reduce(np.abs(a - ah), axis=None))
-    if herm_err > atol:
-        raise NotHermitian(f"max |A - A^dag| = {herm_err:.3e} exceeds {atol:.1e}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        h = (a + ah) / 2.0
-    _require_finite(h)  # entries near the float maximum overflow in a + ah
+def _validated(a: np.ndarray):
+    """(mat, w, v) of a complex matrix or stack of matrices; validate_density's body."""
+    h = _hermitian(a)
     tr = h.trace(axis1=-2, axis2=-1).real
     tr_err = np.abs(tr - 1.0)
-    if np.maximum.reduce(tr_err, axis=None) > atol:
+    if np.maximum.reduce(tr_err, axis=None) > ATOL:
         raise NotUnitTrace(f"trace = {float(np.ravel(tr)[tr_err.argmax()])!r}")
     try:
         w, v = np.linalg.eigh(h)
@@ -138,19 +165,15 @@ def _validated(a: np.ndarray, atol: float = ATOL):
         raise ConvergenceFailure(f"eigendecomposition did not converge: {exc}") from exc
     w, v = w[..., ::-1], np.ascontiguousarray(v[..., ::-1])  # descending
     w_min = np.minimum.reduce(w[..., -1], axis=None)
-    if w_min < -atol:
+    if w_min < -ATOL:
         raise NotPSD(f"min eigenvalue = {w_min:.3e}")
     w = _clean_spectrum(w)
-    mat = (v * w[..., None, :]) @ v.conj().swapaxes(-1, -2)
-    mat = (mat + mat.conj().swapaxes(-1, -2)) / 2.0
-    return mat, w, v
+    return _from_spectrum(w, v), w, v
 
 
 def sqrtm(rho: DensityMatrix) -> np.ndarray:
     """Hermitian PSD square root, computed from the stored spectrum."""
-    v = rho.eigenvectors
-    s = (v * np.sqrt(rho.eigenvalues)) @ v.conj().T
-    return (s + s.conj().T) / 2.0
+    return _from_spectrum(np.sqrt(rho.eigenvalues), rho.eigenvectors)
 
 
 def tensor(a: DensityMatrix, b: DensityMatrix) -> DensityMatrix:
@@ -165,9 +188,7 @@ def partial_trace(rho: DensityMatrix, dims, keep) -> DensityMatrix:
     most significant); ``keep`` is a subsystem index or a set of indices.
     Kept subsystems stay in their original order.
     """
-    dims = [int(d) for d in dims]
-    if int(np.prod(dims)) != rho.dim:
-        raise DimensionMismatch(f"prod({dims}) != state dimension {rho.dim}")
+    dims = _subsystem_dims(rho, dims)
     if isinstance(keep, (int, np.integer)):
         keep = [int(keep)]
     keep = sorted(set(int(k) for k in keep))

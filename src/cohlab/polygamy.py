@@ -16,12 +16,13 @@ import numpy as np
 
 from .coherence import _c_skew_of, c_skew
 from .errors import BadPartition, DimensionMismatch, NegativeCount, NotPure
-from .linalg import CHUNK_ENTRIES, RANK_TOL, DensityMatrix, _bipartite_dims, _clean_spectrum
+from .linalg import CHUNK_ENTRIES, RANK_TOL, DensityMatrix, _clean_spectrum, _subsystem_dims
 from .linalg import _validated, partial_trace, validate_density
 from .rand import _ginibre, child_rng
 
 PURITY_TOL = 1e-8
 GAP_TOL = 1e-9
+JITTER = 0.01  # standard deviation of find_qubit_violations' perturbations of the fixture
 
 
 def pure_polygamy_gap(psi: DensityMatrix, dims) -> float:
@@ -128,7 +129,7 @@ def _records(mat: np.ndarray, w: np.ndarray, v: np.ndarray, dims) -> list:
 def bipartite_record(rho_ab: DensityMatrix, dims) -> PolygamyRecord:
     """Collect marginal coherences, eigenstate sums and inequality inputs."""
     return _records(rho_ab.mat[None], rho_ab.eigenvalues[None], rho_ab.eigenvectors[None],
-                    _bipartite_dims(rho_ab, dims))[0]
+                    _subsystem_dims(rho_ab, dims, 2))[0]
 
 
 def _is_leaf(node) -> bool:
@@ -152,7 +153,7 @@ def _blocks(node) -> tuple:
     return tuple(sorted(_blocks(node[0]) + _blocks(node[1])))
 
 
-def partition_check(rho: DensityMatrix, dims, tree, tol: float = GAP_TOL) -> dict:
+def partition_check(rho: DensityMatrix, dims, tree) -> dict:
     """Evaluate both multipartite distribution inequalities on a nested split.
 
     ``tree`` is a nested pair structure over subsystem indices, e.g.
@@ -162,12 +163,10 @@ def partition_check(rho: DensityMatrix, dims, tree, tol: float = GAP_TOL) -> dic
     form multiplies a minimal-nonzero-eigenvalue factor per split; the
     symmetric form accumulates one c_s factor per split, entering at the
     exponent of its branch, with leaf exponents halving below each
-    substituted split.
+    substituted split.  Both forms allow ``GAP_TOL``.
     """
-    dims = [int(d) for d in dims]
+    dims = _subsystem_dims(rho, dims)
     n = len(dims)
-    if int(np.prod(dims)) != rho.dim:
-        raise DimensionMismatch(f"prod({dims}) != state dimension {rho.dim}")
     blocks = _blocks(tree)
     if _is_leaf(tree):
         raise BadPartition("tree root must split into at least two blocks")
@@ -219,10 +218,10 @@ def partition_check(rho: DensityMatrix, dims, tree, tol: float = GAP_TOL) -> dic
         "splits": splits,
         "lhs_product": lhs_lambda,
         "lambda_m": float(lambda_m),
-        "ok_lambda_form": bool(lhs_lambda >= rhs_lambda - tol),
+        "ok_lambda_form": bool(lhs_lambda >= rhs_lambda - GAP_TOL),
         "lhs_symmetric": lhs_sym,
         "c_st": float(c_st),
-        "ok_symmetric_form": bool(lhs_sym >= rhs_sym - tol),
+        "ok_symmetric_form": bool(lhs_sym >= rhs_sym - GAP_TOL),
     }
 
 
@@ -261,7 +260,7 @@ def sweep_summary(records) -> dict:
     }
 
 
-def find_qubit_violations(seed: int, n_trials: int = 50, noise: float = 0.01) -> list:
+def find_qubit_violations(seed: int, n_trials: int = 50) -> list:
     """Search near the bundled two-qubit mixture for pure-form violations.
 
     Trial 0 is the unperturbed fixture; later trials jitter the mixing weight
@@ -277,9 +276,9 @@ def find_qubit_violations(seed: int, n_trials: int = 50, noise: float = 0.01) ->
         if i == 0:
             p, v1, v2 = base["p"], base["psi1"], base["psi2"]
         else:
-            p = float(np.clip(base["p"] + noise * rng.standard_normal(), 1e-3, 1.0 - 1e-3))
-            v1 = base["psi1"] + noise * rng.standard_normal(4)
-            v2 = base["psi2"] + noise * rng.standard_normal(4)
+            p = float(np.clip(base["p"] + JITTER * rng.standard_normal(), 1e-3, 1.0 - 1e-3))
+            v1 = base["psi1"] + JITTER * rng.standard_normal(4)
+            v2 = base["psi2"] + JITTER * rng.standard_normal(4)
             v1 = v1 / np.linalg.norm(v1)
             v2 = v2 / np.linalg.norm(v2)
         mix = p * np.outer(v1, np.conj(v1)) + (1.0 - p) * np.outer(v2, np.conj(v2))

@@ -7,36 +7,9 @@ order samples are drawn in.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import DimensionMismatch
 from .linalg import DensityMatrix, pure_state, validate_density
-
-MIXED_GINIBRE = "mixed-ginibre"
-PURE_HAAR = "pure-haar"
-
-
-@dataclass(frozen=True)
-class RandomStateSpec:
-    """Recipe for one reproducible random state."""
-
-    dims: tuple
-    seed: int
-    kind: str = MIXED_GINIBRE
-
-    def __post_init__(self):
-        dims = tuple(int(d) for d in self.dims)
-        object.__setattr__(self, "dims", dims)
-        if int(np.prod(dims)) < 2:
-            raise DimensionMismatch(f"total dimension {np.prod(dims)} < 2")
-        if self.kind not in (MIXED_GINIBRE, PURE_HAAR):
-            raise DimensionMismatch(f"unknown kind {self.kind!r}")
-
-    @property
-    def dim(self) -> int:
-        return int(np.prod(self.dims))
 
 
 def as_rng(seed_or_rng) -> np.random.Generator:
@@ -72,14 +45,6 @@ def haar_pure(dim: int, rng) -> DensityMatrix:
     return pure_state(_complex_normal(as_rng(rng), dim))
 
 
-def random_state(spec: RandomStateSpec) -> DensityMatrix:
-    """Deterministic state for a spec; identical specs give identical states."""
-    rng = as_rng(spec.seed)
-    if spec.kind == MIXED_GINIBRE:
-        return ginibre_mixed(spec.dim, rng)
-    return haar_pure(spec.dim, rng)
-
-
 def random_unitary(dim: int, rng) -> np.ndarray:
     """Haar-distributed unitary via phase-fixed QR of a Ginibre matrix."""
     q, r = np.linalg.qr(_complex_normal(as_rng(rng), (dim, dim)))
@@ -88,6 +53,7 @@ def random_unitary(dim: int, rng) -> np.ndarray:
     return q * phases
 
 
-def random_hermitian(dim: int, rng, scale: float = 1.0) -> np.ndarray:
-    a = _complex_normal(as_rng(rng), (dim, dim)) * scale
+def random_hermitian(dim: int, rng) -> np.ndarray:
+    """Hermitian part of a complex normal matrix."""
+    a = _complex_normal(as_rng(rng), (dim, dim))
     return (a + a.conj().T) / 2.0

@@ -14,10 +14,12 @@ from hypothesis import strategies as st
 
 import cohlab
 from cohlab import ginibre_mixed, maximally_coherent, random_incoherent_channel
+from cohlab.rand import random_hermitian
 from cohlab.cli import main
 from cohlab.errors import CohlabError, NotUnitTrace, ParseError, UnknownFixture
 from cohlab.fixtures import FIXTURE_NAMES, fixture_report
 from cohlab.serialize import (
+    matrix_to_obj,
     read_channel,
     read_state,
     state_to_obj,
@@ -183,6 +185,39 @@ def test_compute_non_finite_result_exits_2(tmp_path, plus_file):
         code, out = run_cli(["compute", "--input", plus_file, "--observable", str(obs)])
     assert code == 2
     assert json.loads(out)["error"] == "NotFinite"
+
+
+def test_compute_overflowing_observable_blames_the_input(tmp_path, plus_file):
+    # the symmetrized observable overflows; it once reached the report as inf + nan j
+    obs = tmp_path / "overflow.json"
+    obs.write_text(json.dumps({"re": [[1e308, 1e308], [1e308, 1e308]],
+                               "im": [[0.0, 0.0], [0.0, 0.0]]}))
+    code, out = run_cli(["compute", "--input", plus_file, "--observable", str(obs)])
+    assert code == 2
+    err = json.loads(out)
+    assert err["error"] == "NotFinite" and err["detail"].startswith("input")
+
+
+@pytest.mark.parametrize("argv", [
+    ["compute", "--input", "state.json", "--seed", "abc"],
+    ["sweep", "polygamy", "--dims", "2x2", "--samples", "x"],
+    ["compute"],
+    ["sweep", "polygamy", "--dims", "2x2", "--samples", "3", "--bogus"],
+    [],
+], ids=["seed-not-int", "samples-not-int", "missing-input", "unknown-option", "no-command"])
+def test_argument_errors_print_json_and_exit_2(argv, capsys):
+    code, out = run_cli(argv)
+    assert code == 2
+    assert json.loads(out)["error"] == "ParseError"
+    assert capsys.readouterr().err == ""
+
+
+def test_help_still_prints_usage_and_exits_0():
+    buf = io.StringIO()
+    with redirect_stdout(buf), pytest.raises(SystemExit) as exc:
+        main(["compute", "--help"])
+    assert exc.value.code == 0
+    assert buf.getvalue().startswith("usage: cohlab compute")
 
 
 def test_fixture_reports_exist_for_all_names():
@@ -380,6 +415,29 @@ def test_monotonicity_csv_bytes_are_pinned(tmp_path, measure, dim, digest):
                        "--seed", "9", "--out", str(out)])
     assert code == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("command,digest", [
+    ("compute", "5b90747aa4b5258127443a8d35ce4da5cc4fe929e7c8c476c8a8850272fa2c3e"),
+    ("metrology", "61d12308790ec21b89a6c6d2066a98afab2f994facdd0d97457ee963555d9b2f"),
+    ("discord", "fd778de671425fb9f293a70c623681a0d6756c569d38e804169ddf771e2723fe"),
+])
+def test_report_bytes_are_pinned(tmp_path, command, digest):
+    # SHA-256 of the JSON report without "meta", which embeds the input path
+    state, obs = tmp_path / "rho.json", tmp_path / "k.json"
+    write_state(str(state), ginibre_mixed(5, 31))
+    obs.write_text(json.dumps(matrix_to_obj(random_hermitian(5, 32))))
+    argv = {
+        "compute": ["compute", "--input", str(state), "--observable", str(obs)],
+        "metrology": ["metrology", "--input", str(state), "--runs", "37"],
+        "discord": ["discord", "--fixture", "theorem3-block"],
+    }[command]
+    code, out = run_cli(argv)
+    assert code == 0
+    report = json.loads(out)
+    del report["meta"]
+    text = json.dumps(report, indent=2)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_cli_import_loads_no_scipy():

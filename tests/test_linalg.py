@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from cohlab import (
-    RandomStateSpec,
     basis_state,
     child_rng,
     ginibre_mixed,
@@ -15,8 +14,9 @@ from cohlab import (
     maximally_coherent,
     partial_trace,
     pure_state,
-    random_state,
+    qfi_projector,
     random_unitary,
+    skew_qfi_sandwich,
     sqrtm,
     tensor,
     validate_density,
@@ -73,6 +73,31 @@ def test_validate_rejects_overflow_when_symmetrizing():
 def test_validate_rejects_non_square():
     with pytest.raises(DimensionMismatch):
         validate_density(np.ones((2, 3)))
+
+
+@pytest.mark.parametrize("entries", [np.zeros((0, 0)), [[0.5, 0.5], [0.5]], "rho"],
+                         ids=["empty", "ragged", "string"])
+@pytest.mark.parametrize("validate", [validate_density, validate_observable, check_unitary],
+                         ids=["density", "observable", "unitary"])
+def test_validators_reject_non_matrices(validate, entries):
+    with pytest.raises(DimensionMismatch):
+        validate(entries)
+
+
+def test_observable_rejects_overflow_when_symmetrizing():
+    # entries whose sum a + a^dag overflows once gave an Observable of inf + nan j
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NotFinite):
+            validate_observable([[1e308, 1e308], [1e308, 1e308]])
+
+
+def test_check_unitary_rejects_overflowing_residual():
+    # u^dag u overflows to a NaN residual, which once passed the tolerance test
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DimensionMismatch):
+            check_unitary(np.full((2, 2), 1e200 + 1e200j))
 
 
 def test_validate_clips_roundoff_negatives():
@@ -209,20 +234,6 @@ def test_partial_trace_dimension_check():
         partial_trace(rho, [2, 3], [0])
 
 
-def test_random_state_deterministic():
-    spec = RandomStateSpec(dims=(2, 3), seed=42)
-    a = random_state(spec)
-    b = random_state(spec)
-    assert np.array_equal(a.mat, b.mat)
-
-
-def test_random_pure_state_is_rank_one():
-    spec = RandomStateSpec(dims=(3, 3), seed=7, kind="pure-haar")
-    psi = random_state(spec)
-    assert psi.rank == 1
-    assert abs(psi.purity() - 1.0) < 1e-12
-
-
 def test_random_state_sweep_valid():
     for i in range(1000):
         rho = ginibre_mixed(4, child_rng(400, i))
@@ -237,6 +248,53 @@ def test_haar_pure_unit_purity():
         assert abs(psi.purity() - 1.0) < 1e-12
 
 
-def test_random_state_spec_rejects_trivial_dim():
-    with pytest.raises(DimensionMismatch):
-        RandomStateSpec(dims=(1,), seed=0)
+
+@st.composite
+def _near_singular_states(draw):
+    """``(w, u)``: a descending full-rank spectrum whose smallest eigenvalues reach about 1e-14
+    (after normalization), and a Haar unitary whose columns are its eigenvectors."""
+    d = draw(st.integers(2, 6))
+    exponents = draw(arrays(float, d - 1, elements=st.floats(-14.0, 0.0)))
+    exponents = np.append(exponents, draw(st.floats(-14.0, -12.0)))
+    w = np.sort(10.0**exponents)[::-1]
+    return w / w.sum(), random_unitary(d, draw(st.integers(0, 2**16)))
+
+
+@given(_near_singular_states())
+def test_validate_density_keeps_near_singular_spectra(state):
+    # tolerances set beforehand: eigh's backward error is about d eps |rho| ~ 1e-15 and the
+    # roundoff rule zeroes at most 1e-14 of the largest eigenvalue, so 1e-12 on entries
+    w, u = state
+    mat = (u * w) @ u.conj().T
+    rho = validate_density(mat)
+    assert np.abs(rho.eigenvalues - w).max() < 1e-12
+    assert np.abs(rho.mat - mat).max() < 1e-12
+    assert rho.eigenvalues.min() >= 0.0
+    assert abs(rho.eigenvalues.sum() - 1.0) < 1e-14
+
+
+@given(_near_singular_states())
+def test_sqrtm_of_near_singular_states(state):
+    # tolerances set beforehand: s @ s rebuilds the stored matrix to roundoff, 1e-12; sqrt turns
+    # an eigenvalue error of at most 1e-14 into at most 1e-7, so 1e-6 against the exact root
+    w, u = state
+    rho = validate_density((u * w) @ u.conj().T)
+    s = sqrtm(rho)
+    assert np.array_equal(s, s.conj().T)
+    assert np.abs(s @ s - rho.mat).max() < 1e-12
+    assert np.abs(s - (u * np.sqrt(w)) @ u.conj().T).max() < 1e-6
+
+
+@given(_near_singular_states(), st.data())
+def test_qfi_projector_of_near_singular_states(state, data):
+    # tolerances set beforehand: the QFI is at most 1 and each term moves by at most a few times
+    # the eigenvalue error, so 1e-10 against the constructed spectrum; the sandwich
+    # I <= F/4 <= 2I holds within skew_qfi_sandwich's own 1e-9
+    w, u = state
+    rho = validate_density((u * w) @ u.conj().T)
+    k = data.draw(st.integers(0, len(w) - 1))
+    a = np.abs(u[k]) ** 2
+    exact = 2.0 * sum(a[i] * a[j] * (w[i] - w[j]) ** 2 / (w[i] + w[j])
+                      for i in range(len(w)) for j in range(len(w)))
+    assert qfi_projector(rho, k) == pytest.approx(exact, abs=1e-10)
+    assert skew_qfi_sandwich(rho, k)["ok"]

@@ -344,6 +344,16 @@ def test_bipartite_functions_reject_bad_dims(fn, dims):
         fn(maximally_coherent(4), dims)
 
 
+@pytest.mark.parametrize("dims", [(-2, -2), (2, "x")], ids=["negative", "non-integer"])
+@pytest.mark.parametrize("fn", [lambda rho, dims: partial_trace(rho, dims, 0),
+                                lambda rho, dims: partition_check(rho, dims, ((0,), (1,)))],
+                         ids=["partial_trace", "partition_check"])
+def test_subsystem_functions_reject_bad_dims(fn, dims):
+    # (-2, -2) multiplies to 4, and numpy's reshape once raised its own ValueError for it
+    with pytest.raises(DimensionMismatch):
+        fn(maximally_coherent(4), dims)
+
+
 def test_qubit_violation_search_replays():
     found = find_qubit_violations(seed=5, n_trials=40)
     assert found
