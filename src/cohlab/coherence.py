@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch
-from .linalg import ATOL, DensityMatrix, _frozen, _from_spectrum, _hermitian, _require_finite
+from .linalg import ATOL, DensityMatrix, _frozen, _from_spectrum, _hermitian, _index, _require_finite
 from .linalg import _sqrt_diag, _square, sqrtm, validate_density
 
 
@@ -62,8 +62,7 @@ def skew_info(rho: DensityMatrix, k: int) -> float:
 
     Equals ``<k|rho|k> - <k|sqrt(rho)|k>^2`` and lies in [0, 1/4].
     """
-    if not 0 <= k < rho.dim:
-        raise DimensionMismatch(f"index {k} out of range for dimension {rho.dim}")
+    k = _index(k, rho.dim)
     return float(rho.diag()[k] - rho.sqrt_diag()[k] ** 2)
 
 

@@ -9,6 +9,7 @@ a pure function.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,12 +124,29 @@ class DensityMatrix:
         return _sqrt_diag(self.eigenvalues, self.eigenvectors)
 
 
+def _index(k, stop: int | None = None) -> int:
+    """``k`` as a Python int, in ``range(stop)`` if given; the one rule for indices and dims.
+
+    Anything ``operator.index`` refuses (floats, strings, arrays) and bools
+    raise ``DimensionMismatch``, as does an index outside the range.
+    """
+    try:
+        if isinstance(k, bool):
+            raise TypeError("a bool is not an index")
+        k = operator.index(k)
+    except TypeError as exc:
+        raise DimensionMismatch(f"expected an integer, got {k!r}: {exc}") from exc
+    if stop is not None and not 0 <= k < stop:
+        raise DimensionMismatch(f"index {k} is outside range({stop})")
+    return k
+
+
 def _subsystem_dims(rho: DensityMatrix, dims, n: int | None = None) -> tuple:
     """``dims`` as positive integers, ``n`` of them if given, whose product is ``rho.dim``."""
     try:
-        dims = tuple(int(d) for d in dims)
-    except (TypeError, ValueError) as exc:
-        raise DimensionMismatch(f"dims must be integers: {exc}") from exc
+        dims = tuple(map(_index, dims))
+    except TypeError as exc:  # dims is not iterable
+        raise DimensionMismatch(f"dims must be a sequence of integers: {exc}") from exc
     if (n is not None and len(dims) != n) or min(dims, default=0) < 1 or math.prod(dims) != rho.dim:
         raise DimensionMismatch(f"dims {dims} are not positive factors of dimension {rho.dim}")
     return dims
@@ -189,18 +207,14 @@ def partial_trace(rho: DensityMatrix, dims, keep) -> DensityMatrix:
     Kept subsystems stay in their original order.
     """
     dims = _subsystem_dims(rho, dims)
-    if isinstance(keep, (int, np.integer)):
-        keep = [int(keep)]
-    keep = sorted(set(int(k) for k in keep))
     n = len(dims)
-    if not keep or any(k < 0 or k >= n for k in keep):
-        raise DimensionMismatch(f"keep={keep} out of range for {n} subsystems")
+    keep = sorted({_index(k, n) for k in (keep if np.iterable(keep) else [keep])})
+    if not keep:
+        raise DimensionMismatch("keep names no subsystem")
     t = rho.mat.reshape(dims + dims)
-    remaining = list(dims)
     for idx in sorted(set(range(n)) - set(keep), reverse=True):
-        t = np.trace(t, axis1=idx, axis2=idx + len(remaining))
-        del remaining[idx]
-    d_keep = int(np.prod(remaining))
+        t = np.trace(t, axis1=idx, axis2=idx + t.ndim // 2)
+    d_keep = math.prod(dims[k] for k in keep)
     return validate_density(t.reshape(d_keep, d_keep))
 
 
@@ -215,7 +229,8 @@ def pure_state(vec) -> DensityMatrix:
 
 
 def basis_state(dim: int, k: int) -> DensityMatrix:
-    """Computational basis state |k><k|."""
+    """Computational basis state |k><k|; ``k`` must be an integer in ``range(dim)``."""
+    k = _index(k, _index(dim))
     v = np.zeros(dim)
     v[k] = 1.0
     return pure_state(v)

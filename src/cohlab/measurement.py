@@ -91,7 +91,7 @@ def recover_spectrum(trace_powers) -> SpectrumEstimate:
             acc += (-1.0) ** (m - 1) * e[k - m] * p[m - 1]
         e[k] = acc / k
     coeffs = [(-1.0) ** k * e[k] for k in range(n + 1)]
-    roots = np.roots(coeffs) if n > 1 else np.array([p[0]], dtype=complex)
+    roots = np.roots(coeffs)
     flagged = bool(n > WELL_CONDITIONED_DIM or np.any(np.abs(roots.imag) > IMAG_TOL))
     lam = np.clip(roots.real, 0.0, 1.0)
     total = lam.sum()
@@ -153,17 +153,11 @@ def estimate_measures(
     its own child generator so estimates are reproducible per power.
     """
     nd = rho.dim
-    powers = exact_trace_powers(rho, nd)
-    records = []
-    if not exact_powers:
-        est = powers.copy()
-        for n in range(2, nd + 1):
-            rec = simulate_shots(rho, n, shots_per_power, child_rng(seed, n))
-            est[n - 1] = rec.trace_power_hat
-            records.append(rec)
-        est[0] = 1.0
+    if exact_powers:
+        records, est = [], exact_trace_powers(rho, nd)
     else:
-        est = powers
+        records = [simulate_shots(rho, n, shots_per_power, child_rng(seed, n)) for n in range(2, nd + 1)]
+        est = [1.0] + [r.trace_power_hat for r in records]
     spectrum = recover_spectrum(est)
 
     diag = rho.diag().copy()

@@ -15,7 +15,7 @@ import numpy as np
 
 from .coherence import c_skew, skew_info
 from .errors import DimensionMismatch
-from .linalg import DensityMatrix
+from .linalg import DensityMatrix, _index
 
 SPECTRAL_CUTOFF = 1e-12
 SANDWICH_TOL = 1e-9
@@ -28,10 +28,8 @@ def qfi_projector(rho: DensityMatrix, k: int) -> float:
     |<j|k>|^2``; pairs with ``l_i + l_j`` below the cutoff contribute nothing
     (the generator cannot connect a doubly-dark pair).
     """
-    if not 0 <= k < rho.dim:
-        raise DimensionMismatch(f"index {k} out of range for dimension {rho.dim}")
     w = rho.eigenvalues
-    a = np.abs(rho.eigenvectors[k, :]) ** 2
+    a = np.abs(rho.eigenvectors[_index(k, rho.dim), :]) ** 2
     s = w[:, None] + w[None, :]
     num = (w[:, None] - w[None, :]) ** 2
     ratio = np.divide(num, s, out=np.zeros_like(s), where=s > SPECTRAL_CUTOFF)

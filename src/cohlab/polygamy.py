@@ -10,14 +10,15 @@ sweep machinery below distinguishes the two numerically.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .coherence import _c_skew_of, c_skew
 from .errors import BadPartition, DimensionMismatch, NegativeCount, NotPure
-from .linalg import CHUNK_ENTRIES, RANK_TOL, DensityMatrix, _clean_spectrum, _subsystem_dims
-from .linalg import _validated, partial_trace, validate_density
+from .linalg import CHUNK_ENTRIES, RANK_TOL, DensityMatrix, _clean_spectrum, _index
+from .linalg import _subsystem_dims, _validated, partial_trace, validate_density
 from .rand import _ginibre, child_rng
 
 PURITY_TOL = 1e-8
@@ -136,11 +137,12 @@ def _is_leaf(node) -> bool:
     return all(isinstance(x, (int, np.integer)) for x in node)
 
 
-def _blocks(node) -> tuple:
-    """Sorted subsystem indices below a tree node.
+def _walk(node, depth: int, splits: list) -> tuple:
+    """Sorted subsystem indices below a tree node, appending its splits in pre-order.
 
     A leaf is a non-empty tuple of indices and every other node a pair of
-    nodes; anything else raises ``BadPartition``.
+    nodes; anything else raises ``BadPartition``.  Each pair appends
+    ``(node, left, right, depth)`` with the sorted indices of both children.
     """
     if isinstance(node, (int, np.integer)):
         raise BadPartition(f"subsystem {node} must sit in a leaf tuple")
@@ -150,7 +152,11 @@ def _blocks(node) -> tuple:
         return tuple(sorted(node))
     if len(node) != 2:
         raise BadPartition("internal nodes must be bipartite splits")
-    return tuple(sorted(_blocks(node[0]) + _blocks(node[1])))
+    at = len(splits)
+    splits.append(None)  # the children's splits follow this one
+    left, right = (_walk(child, depth + 1, splits) for child in node)
+    splits[at] = (node, left, right, depth)
+    return tuple(sorted(left + right))
 
 
 def partition_check(rho: DensityMatrix, dims, tree) -> dict:
@@ -158,70 +164,54 @@ def partition_check(rho: DensityMatrix, dims, tree) -> dict:
 
     ``tree`` is a nested pair structure over subsystem indices, e.g.
     ``((0,), ((1,), (2,)))`` splits 0|12 and then 1|2; leaves may list their
-    subsystems in any order.  Each split is a bipartite record of the node's
-    reduced state, with the left block's subsystems moved first.  The product
-    form multiplies a minimal-nonzero-eigenvalue factor per split; the
-    symmetric form accumulates one c_s factor per split, entering at the
-    exponent of its branch, with leaf exponents halving below each
-    substituted split.  Both forms allow ``GAP_TOL``.
+    subsystems in any order.  Each split s, at depth d_s, is a bipartite
+    record of the node's reduced state with the left block first.  The
+    product form is prod_leaves (1 - C_leaf) >= lambda_M (1 - C) with
+    lambda_M = prod_s lambda_min(s); the symmetric form is prod_leaves
+    (1 - C_leaf)^e_leaf >= (1 - C)^2 / c_ST with c_ST = prod_s c_s(s)^(2^-d_s),
+    where e_leaf is 2^-d_s of the leaf's parent split.  Both allow ``GAP_TOL``.
     """
     dims = _subsystem_dims(rho, dims)
     n = len(dims)
-    blocks = _blocks(tree)
-    if _is_leaf(tree):
+    nodes = []
+    blocks = _walk(tree, 0, nodes)
+    if not nodes:
         raise BadPartition("tree root must split into at least two blocks")
     if blocks != tuple(range(n)):
         raise BadPartition(f"leaves of {tree} do not partition 0..{n - 1}")
 
-    leaf_coh = {}
-    splits = []
-
-    def walk(node, depth):
-        """Returns (leaf exponents, lambda product, c_s accumulator) for a node."""
-        subs = _blocks(node)
-        left, right = _blocks(node[0]), _blocks(node[1])
+    leaf_coh, exponents, splits = {}, {}, []
+    for node, left, right, depth in nodes:
+        subs = tuple(sorted(left + right))
         st = rho if len(subs) == n else partial_trace(rho, dims, subs)
         # basis index of the reordered state -> index of st; the spectrum is unchanged
         perm = np.arange(st.dim).reshape([dims[i] for i in subs])
         perm = perm.transpose([subs.index(i) for i in left + right]).ravel()
-        d_left = int(np.prod([dims[i] for i in left]))
+        d_left = math.prod(dims[i] for i in left)
         rec = _records(st.mat[np.ix_(perm, perm)][None], st.eigenvalues[None],
                        st.eigenvectors[perm][None], (d_left, st.dim // d_left))[0]
-        splits.append(
-            {"subsystems": subs, "split": (left, right),
-             "lambda_min": rec.lambda_min, "c_s": rec.c_s, "exponent": 0.5**depth}
-        )
-        exponents = {}
-        lam_prod = rec.lambda_min
-        cs_prod = rec.c_s
+        splits.append({"subsystems": subs, "split": (left, right),
+                       "lambda_min": rec.lambda_min, "c_s": rec.c_s, "exponent": 0.5**depth})
         for child, c_child in zip(node, (rec.c_a, rec.c_b)):
             if _is_leaf(child):
                 leaf_coh[tuple(child)] = c_child
-                exponents[tuple(child)] = 1.0
-            else:
-                sub_exp, sub_lam, sub_cs = walk(child, depth + 1)
-                for l, e in sub_exp.items():
-                    exponents[l] = e / 2.0
-                lam_prod *= sub_lam
-                cs_prod *= np.sqrt(sub_cs)
-        return exponents, lam_prod, cs_prod
+                exponents[tuple(child)] = 0.5**depth
 
-    exponents, lambda_m, c_st = walk(tree, 0)
+    lambda_m = math.prod(s["lambda_min"] for s in splits)
+    c_st = math.prod(s["c_s"] ** s["exponent"] for s in splits)
     one_minus_joint = 1.0 - c_skew(rho)
-    lhs_lambda = float(np.prod([1.0 - leaf_coh[l] for l in leaf_coh]))
-    lhs_sym = float(np.prod([(1.0 - leaf_coh[l]) ** exponents[l] for l in leaf_coh]))
-    rhs_lambda = lambda_m * one_minus_joint
-    rhs_sym = one_minus_joint**2 / c_st
+    lhs_lambda = math.prod(1.0 - c for c in leaf_coh.values())
+    lhs_sym = math.prod((1.0 - leaf_coh[l]) ** exponents[l] for l in leaf_coh)
     return {
         "leaf_coherences": leaf_coh,
         "exponents": exponents,
         "splits": splits,
         "lhs_product": lhs_lambda,
-        "lambda_m": float(lambda_m),
-        "ok_lambda_form": bool(lhs_lambda >= rhs_lambda - GAP_TOL),
+        "lambda_m": lambda_m,
+        "ok_lambda_form": lhs_lambda >= lambda_m * one_minus_joint - GAP_TOL,
         "lhs_symmetric": lhs_sym,
-        "c_st": float(c_st),
-        "ok_symmetric_form": bool(lhs_sym >= rhs_sym - GAP_TOL),
+        "c_st": c_st,
+        "ok_symmetric_form": lhs_sym >= one_minus_joint**2 / c_st - GAP_TOL,
     }
 
 
@@ -230,7 +220,7 @@ def sweep_polygamy(dims, n_samples: int, seed: int) -> list:
 
     Record ``i`` equals ``bipartite_record`` of the state drawn from ``child_rng(seed, i)``.
     """
-    dims = tuple(int(d) for d in dims)
+    dims = tuple(map(_index, dims))
     if len(dims) != 2 or min(dims) < 1:
         raise DimensionMismatch(f"dims {dims} are not two positive integers")
     da, db = dims

@@ -5,7 +5,9 @@ through a singular value decomposition, skew quantities through literal commutat
 traces, the Fisher information through a fidelity finite difference, and the
 discord through an exhaustive product-basis grid with local grid refinement or,
 for a qubit A, the local-quantum-uncertainty closed form.  The monotonicity
-reference checks one sample at a time through the single-state channel maps.
+reference checks one sample at a time through the single-state channel maps,
+and the partition reference multiplies per-split factors from explicit partial
+traces by its own recursion.
 """
 
 import numpy as np
@@ -100,6 +102,67 @@ def schmidt_marginal_coherences(vectors, dims, left):
         sum_left += 1.0 - float(diag_left @ diag_left)
         sum_right += 1.0 - float(diag_right @ diag_right)
     return sum_left, sum_right
+
+
+def _reduced(mat, dims, keep):
+    """Partial trace onto the sorted subsystem positions ``keep`` by one literal einsum."""
+    n = len(dims)
+    letters = [chr(ord("a") + i) for i in range(2 * n)]
+    cols = [letters[n + i] if i in keep else letters[i] for i in range(n)]
+    kept = [letters[i] for i in keep] + [cols[i] for i in keep]
+    spec = "".join(letters[:n] + cols) + "->" + "".join(kept)
+    d = int(np.prod([dims[i] for i in keep]))
+    return np.einsum(spec, np.asarray(mat).reshape(list(dims) * 2)).reshape(d, d)
+
+
+def _skew_coherence(mat):
+    return 1.0 - float(np.sum(np.diag(psd_sqrt(mat)).real ** 2))
+
+
+def partition_reference(mat, dims, tree, rank_tol=1e-10, gap_tol=1e-9):
+    """Both sides and verdicts of the two multipartite forms of a nested split.
+
+    Recurses over ``tree`` (pairs of nodes; leaves are tuples of subsystem
+    indices).  Each split's reduced state is an explicit partial trace of
+    ``mat``; its lambda_min is the least ``eigvalsh`` eigenvalue above
+    ``rank_tol`` and its c_s is (r - S_left)(r - S_right) with the sums of
+    ``schmidt_marginal_coherences`` over its kept eigenvectors.  Leaf
+    coherences go through ``psd_sqrt``.  The factors of a split at depth d,
+    and the leaves it holds directly, enter the symmetric form at 2^-d.
+    """
+    one_minus_joint = 1.0 - _skew_coherence(mat)
+    out = {"lhs_product": 1.0, "lambda_m": 1.0, "lhs_symmetric": 1.0, "c_st": 1.0}
+
+    def is_leaf(node):
+        return all(isinstance(x, (int, np.integer)) for x in node)
+
+    def blocks(node):
+        return sorted(node) if is_leaf(node) else sorted(blocks(node[0]) + blocks(node[1]))
+
+    def split(node, depth):
+        left, right = blocks(node[0]), blocks(node[1])
+        subs = sorted(left + right)
+        st = _reduced(mat, dims, subs)
+        w, v = np.linalg.eigh(st)
+        kept = v[:, w > rank_tol]
+        r = kept.shape[1]
+        sum_l, sum_r = schmidt_marginal_coherences(kept, [dims[i] for i in subs],
+                                                   [subs.index(i) for i in left])
+        lam = np.linalg.eigvalsh(st)
+        out["lambda_m"] *= float(lam[lam > rank_tol].min())
+        out["c_st"] *= ((r - sum_l) * (r - sum_r)) ** 0.5**depth
+        for child, block in ((node[0], left), (node[1], right)):
+            if is_leaf(child):
+                one_minus = 1.0 - _skew_coherence(_reduced(mat, dims, block))
+                out["lhs_product"] *= one_minus
+                out["lhs_symmetric"] *= one_minus ** 0.5**depth
+            else:
+                split(child, depth + 1)
+
+    split(tree, 0)
+    out["ok_lambda_form"] = out["lhs_product"] >= out["lambda_m"] * one_minus_joint - gap_tol
+    out["ok_symmetric_form"] = out["lhs_symmetric"] >= one_minus_joint**2 / out["c_st"] - gap_tol
+    return out
 
 
 def uhlmann_fidelity(a, b):

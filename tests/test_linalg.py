@@ -22,7 +22,7 @@ from cohlab import (
     validate_density,
 )
 from cohlab.channels import validate_channel
-from cohlab.coherence import check_unitary, validate_observable
+from cohlab.coherence import check_unitary, skew_info, validate_observable
 from cohlab.errors import (
     DimensionMismatch,
     NotFinite,
@@ -232,6 +232,33 @@ def test_partial_trace_dimension_check():
     rho = ginibre_mixed(4, 1)
     with pytest.raises(DimensionMismatch):
         partial_trace(rho, [2, 3], [0])
+
+
+@pytest.mark.parametrize("call", [
+    lambda rho: basis_state(2, 2),
+    lambda rho: basis_state(2, -1),
+    lambda rho: basis_state(2, 1.0),
+    lambda rho: partial_trace(rho, [2, 2], ["a"]),
+    lambda rho: partial_trace(rho, [2, 2], 0.7),
+    lambda rho: partial_trace(rho, [2, 2], [0.5]),
+    lambda rho: skew_info(rho, 1.5),
+    lambda rho: qfi_projector(rho, 1.5),
+    lambda rho: skew_info(rho, True),
+    lambda rho: qfi_projector(rho, True),
+], ids=["basis-past-end", "basis-negative", "basis-float", "keep-string", "keep-float",
+        "keep-float-list", "skew-float", "qfi-float", "skew-bool", "qfi-bool"])
+def test_index_arguments_are_integers_in_range(call):
+    # numpy once raised IndexError/TypeError here, or read -1 as the last index and 0.5 as 0
+    with pytest.raises(DimensionMismatch):
+        call(maximally_coherent(4))
+
+
+def test_index_arguments_accept_numpy_integers():
+    rho = ginibre_mixed(4, 3)
+    assert np.array_equal(partial_trace(rho, np.array([2, 2]), np.int64(1)).mat,
+                          partial_trace(rho, [2, 2], [1]).mat)
+    assert skew_info(rho, np.int32(2)) == skew_info(rho, 2)
+    assert np.array_equal(basis_state(np.int64(3), np.int64(2)).mat, basis_state(3, 2).mat)
 
 
 def test_random_state_sweep_valid():

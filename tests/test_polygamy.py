@@ -25,7 +25,7 @@ from cohlab.errors import BadPartition, DimensionMismatch, NotPure
 from cohlab.fixtures import max_coherent_pair, qubit_mixture_counterexample
 from cohlab.linalg import CHUNK_ENTRIES, RANK_TOL, partial_trace, validate_density
 from cohlab.polygamy import _records
-from oracles import schmidt_marginal_coherences
+from oracles import partition_reference, schmidt_marginal_coherences
 
 
 def _kept_eigenvectors(rho):
@@ -153,13 +153,6 @@ def test_partition_exponent_bookkeeping():
     rho = ginibre_mixed(8, 10)
     res = partition_check(rho, [2, 2, 2], ((0,), ((1,), (2,))))
     assert res["exponents"] == {(0,): 1.0, (1,): 0.5, (2,): 0.5}
-    # the aggregated coefficient is the product of per-split records
-    assert res["c_st"] == pytest.approx(
-        np.prod([s["c_s"] ** s["exponent"] for s in res["splits"]]), abs=1e-12
-    )
-    assert res["lambda_m"] == pytest.approx(
-        np.prod([s["lambda_min"] for s in res["splits"]]), abs=1e-12
-    )
     assert [s["subsystems"] for s in res["splits"]] == [(0, 1, 2), (1, 2)]
 
 
@@ -264,6 +257,9 @@ def test_partition_check_is_a_stack_of_bipartite_records(split, seed, pure):
     assert sorted(i for leaf in res["leaf_coherences"] for i in leaf) == list(range(len(dims)))
     for leaf, c in res["leaf_coherences"].items():
         assert c == pytest.approx(c_skew(partial_trace(rho, dims, sorted(leaf))), abs=1e-12)
+    ref = partition_reference(rho.mat, dims, tree)
+    for key, value in ref.items():
+        assert res[key] == pytest.approx(value, rel=1e-12, abs=1e-12), key
 
 
 @settings(max_examples=40, deadline=None)
@@ -330,13 +326,19 @@ def test_sweep_rejects_non_positive_dims(dims):
         sweep_polygamy(dims, 5, seed=1)
 
 
+@pytest.mark.parametrize("dims", [(2.5, 2), ("2", 2)])
+def test_sweep_rejects_non_integer_dims(dims):
+    with pytest.raises(DimensionMismatch):
+        sweep_polygamy(dims, 5, seed=1)
+
+
 @pytest.mark.parametrize("dims", [(2, 2, 1), (4,), ()])
 def test_sweep_rejects_dims_of_wrong_length(dims):
     with pytest.raises(DimensionMismatch):
         sweep_polygamy(dims, 5, seed=1)
 
 
-@pytest.mark.parametrize("dims", [(2, 2, 1), (4,), (-2, -2), (2, 3)])
+@pytest.mark.parametrize("dims", [(2, 2, 1), (4,), (-2, -2), (2, 3), (2.5, 2), ("2", 2)])
 @pytest.mark.parametrize("fn", [bipartite_record, discord_sym, subsystem_coherence],
                          ids=["bipartite_record", "discord_sym", "subsystem_coherence"])
 def test_bipartite_functions_reject_bad_dims(fn, dims):
@@ -344,7 +346,8 @@ def test_bipartite_functions_reject_bad_dims(fn, dims):
         fn(maximally_coherent(4), dims)
 
 
-@pytest.mark.parametrize("dims", [(-2, -2), (2, "x")], ids=["negative", "non-integer"])
+@pytest.mark.parametrize("dims", [(-2, -2), (2, "x"), (2.5, 2), ("2", 2)],
+                         ids=["negative", "non-integer", "float", "numeric-string"])
 @pytest.mark.parametrize("fn", [lambda rho, dims: partial_trace(rho, dims, 0),
                                 lambda rho, dims: partition_check(rho, dims, ((0,), (1,)))],
                          ids=["partial_trace", "partition_check"])
