@@ -5,12 +5,14 @@ each output artifact embeds the seed, package version and the effective
 configuration.  Single results print as JSON, sweeps emit CSV (to stdout, or
 to ``--out`` with a summary on stdout).  Validation failures, bad arguments
 included, exit with code 2 and a machine-readable error object; fixture tables
-exit 1 when a row fails.
+exit 1 when a row fails.  ``main`` reuses one parser per process: building it
+costs far more than parsing, and ``parse_args`` leaves it unchanged.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -204,6 +206,7 @@ class _Parser(argparse.ArgumentParser):
         raise ParseError(message)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="cohlab",

@@ -19,8 +19,8 @@ import numpy as np
 
 from .channels import KrausChannel, apply, is_incoherent, validate_channel
 from .coherence import c_skew, check_unitary
-from .errors import DimensionMismatch, NotIncoherentChannel
-from .linalg import DensityMatrix, _subsystem_dims, sqrtm, tensor
+from .errors import DimensionMismatch, NegativeCount, NotIncoherentChannel
+from .linalg import DensityMatrix, _index, _subsystem_dims, sqrtm, tensor
 from .rand import as_rng
 
 CONVERGENCE_GAP = 1e-5
@@ -75,29 +75,34 @@ def product_basis_coherence(rho_ab: DensityMatrix, dims, basis: LocalBasis | Non
     return float(1.0 - np.sum(d.real**2))
 
 
-def _unitary_from_vec(x: np.ndarray, d: int) -> np.ndarray:
-    """exp(iH) for the Hermitian H with diagonal x[:d] and upper triangle from the rest of x."""
-    iu = np.triu_indices(d, 1)
-    h = np.zeros((d, d), dtype=complex)
-    h[iu] = x[d : d + len(iu[0])] + 1j * x[d + len(iu[0]) :]
-    w, v = np.linalg.eigh(h + h.conj().T + np.diag(x[:d]))
-    return (v * np.exp(1j * w)) @ v.conj().T
+def _unitaries(x: np.ndarray, d: int) -> np.ndarray:
+    """exp(iH) per row of ``x``: H Hermitian with diagonal x[:d], upper triangle from the rest."""
+    iu, n = np.triu_indices(d, 1), d * (d - 1) // 2
+    h = np.zeros((len(x), d, d), dtype=complex)
+    h[:, iu[0], iu[1]] = x[:, d : d + n] + 1j * x[:, d + n :]
+    diag = np.zeros((len(x), d, d))
+    diag[:, range(d), range(d)] = x[:, :d]
+    w, v = np.linalg.eigh(h + h.conj().swapaxes(1, 2) + diag)
+    return (v * np.exp(1j * w)[:, None, :]) @ v.conj().swapaxes(1, 2)
 
 
 def _starts(s, dims, restarts, seed, sym):
     """Start unitaries (R, dA, dA) and (R, dB, dB) for s = sqrt(rho): identity, then the
     eigenbases of Tr_B s and Tr_A s (maximizers of sum_a (Tr_B M)_aa^2 / dB, a lower bound
-    of the kept weight), then seeded random ones.
+    of the kept weight), then R - 2 seeded random ones: one normal block, a row per start,
+    exponentiated by one stacked ``eigh`` per subsystem.
     """
     (da, db), rng = dims, as_rng(seed)
-    t, eye_b = s.reshape(da, db, da, db), np.eye(db, dtype=complex)
-    ua = [np.eye(da, dtype=complex), np.linalg.eigh(np.einsum("abcb->ac", t))[1]]
-    ub = [eye_b, np.linalg.eigh(np.einsum("abad->bd", t))[1] if sym else eye_b]
-    for _ in range(restarts - 2):
-        x = rng.normal(0.0, np.pi / 2.0, size=da * da + (db * db if sym else 0))
-        ua.append(_unitary_from_vec(x[: da * da], da))
-        ub.append(_unitary_from_vec(x[da * da :], db) if sym else eye_b)
-    return np.array(ua[:restarts]), np.array(ub[:restarts])
+    t = s.reshape(da, db, da, db)
+    x = rng.normal(0.0, np.pi / 2.0, size=(max(restarts - 2, 0), da * da + (db * db if sym else 0)))
+    ua = np.concatenate([[np.eye(da), np.linalg.eigh(np.einsum("abcb->ac", t))[1]],
+                         _unitaries(x[:, : da * da], da)])
+    if sym:
+        ub = np.concatenate([[np.eye(db), np.linalg.eigh(np.einsum("abad->bd", t))[1]],
+                             _unitaries(x[:, da * da :], db)])
+    else:
+        ub = np.repeat(np.eye(db, dtype=complex)[None], len(ua), 0)
+    return ua[:restarts], ub[:restarts]
 
 
 def _kept_weight(m: np.ndarray, kept: np.ndarray) -> np.ndarray:
@@ -138,8 +143,11 @@ def _sweep(m, ua, ub, kept, active):
 def _solve(rho_ab, dims, restarts, max_iters, seed, sym) -> DiscordResult:
     """Sweep every start as one stack; the best restart, its value recomputed from its bases."""
     da, db = _subsystem_dims(rho_ab, dims, 2)
+    restarts = _index(restarts)
+    if restarts < 1:
+        raise NegativeCount(f"restart count {restarts} is below 1")
     s = sqrtm(rho_ab)
-    ua, ub = _starts(s, (da, db), max(restarts, 1), seed, sym)
+    ua, ub = _starts(s, (da, db), restarts, seed, sym)
     w = np.einsum("rac,rbd->rabcd", ua, ub).reshape(len(ua), da * db, da * db)
     m = (w.conj().swapaxes(1, 2) @ s @ w).reshape(-1, da, db, da, db)
     kept = np.eye(db) if sym else np.ones((db, db))
@@ -163,8 +171,9 @@ def discord_sym(rho_ab: DensityMatrix, dims, restarts: int = 32, max_iters: int 
                 seed: int = 0) -> DiscordResult:
     """Symmetric discord: minimal joint coherence over local product bases.
 
-    The ``restarts`` starts are swept together; each stops after ``max_iters`` sweeps
-    or a sweep that raises its summed squared diagonal by at most ``SWEEP_TOL``.
+    The ``restarts`` starts (at least 1, else ``NegativeCount``) are swept together; each
+    stops after ``max_iters`` sweeps or a sweep that raises its summed squared diagonal by
+    at most ``SWEEP_TOL``.
     """
     return _solve(rho_ab, dims, restarts, max_iters, seed, True)
 

@@ -146,7 +146,11 @@ def _walk(node, depth: int, splits: list) -> tuple:
     """
     if isinstance(node, (int, np.integer)):
         raise BadPartition(f"subsystem {node} must sit in a leaf tuple")
-    if _is_leaf(node):
+    try:
+        leaf = _is_leaf(node)
+    except TypeError as exc:  # not iterable
+        raise BadPartition(f"tree node {node!r} is neither a leaf nor a split") from exc
+    if leaf:
         if not node:
             raise BadPartition("a leaf must list at least one subsystem")
         return tuple(sorted(node))

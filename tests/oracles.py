@@ -252,6 +252,33 @@ def qubit_a_discord(mat, db):
     return float((1.0 - np.linalg.eigvalsh((w + w.T) / 2.0).max()) / 2.0)
 
 
+def random_start_unitaries(seed, dims, restarts, sym):
+    """The discord solver's random starts, one restart at a time.
+
+    Restart r draws its own normal vector x of length dA^2 (+ dB^2 when
+    ``sym``) and exponentiates the Hermitian H with diagonal x[:d] and upper
+    triangle x[d:d+n] + i x[d+n:] for each subsystem.  Returns the (R-2)
+    unitaries of A and, when ``sym``, of B.
+    """
+    rng = np.random.default_rng(seed)
+    da, db = dims
+
+    def expi(x, d):
+        iu = np.triu_indices(d, 1)
+        h = np.zeros((d, d), dtype=complex)
+        h[iu] = x[d : d + len(iu[0])] + 1j * x[d + len(iu[0]) :]
+        w, v = np.linalg.eigh(h + h.conj().T + np.diag(x[:d]))
+        return (v * np.exp(1j * w)) @ v.conj().T
+
+    ua, ub = [], []
+    for _ in range(restarts - 2):
+        x = rng.normal(0.0, np.pi / 2.0, size=da * da + (db * db if sym else 0))
+        ua.append(expi(x[: da * da], da))
+        if sym:
+            ub.append(expi(x[da * da :], db))
+    return ua, ub
+
+
 def power_sum_jacobian_inverse_norm(lams):
     """Infinity norm of the inverse Jacobian of lam -> (sum lam^n)_n."""
     lams = np.asarray(lams, dtype=float)

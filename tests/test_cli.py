@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 import cohlab
 from cohlab import ginibre_mixed, maximally_coherent, random_incoherent_channel
 from cohlab.rand import random_hermitian
+from cohlab import cli
 from cohlab.cli import main
 from cohlab.errors import CohlabError, NotUnitTrace, ParseError, UnknownFixture
 from cohlab.fixtures import FIXTURE_NAMES, fixture_report
@@ -438,6 +439,72 @@ def test_report_bytes_are_pinned(tmp_path, command, digest):
     del report["meta"]
     text = json.dumps(report, indent=2)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("dims,extra,digest", [
+    ("2x3", ["--mode", "asym"], "59e8ec187485118431aa69c1f94bced381420528fe8d88728ab0d53faa0eee44"),
+    ("3x3", ["--mode", "sym", "--restarts", "5"],
+     "3a420dd7ed5d9d0a98c077f04bad432850d65748ad100640295f776b0e98438b"),
+    # one and two restarts draw no random start
+    ("2x3", ["--restarts", "1"], "67758a255d9cbade75634ce6ba5622119c4b80183139ed93056339757663926c"),
+    ("2x3", ["--restarts", "2"], "be6909808181f928e72afc651030a8460b5e9517166694be558185f34593120d"),
+])
+def test_discord_bytes_are_pinned(tmp_path, dims, extra, digest):
+    # SHA-256 of the JSON report without "meta", as the per-restart start loop wrote it
+    da, db = map(int, dims.split("x"))
+    state = tmp_path / "rho.json"
+    write_state(str(state), ginibre_mixed(da * db, 33))
+    code, out = run_cli(["discord", "--input", str(state), "--dims", dims, "--seed", "7"] + extra)
+    assert code == 0
+    report = json.loads(out)
+    del report["meta"]
+    assert hashlib.sha256(json.dumps(report, indent=2).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("restarts", ["0", "-3"])
+def test_discord_restarts_below_one_exits_2(restarts):
+    code, out = run_cli(["discord", "--fixture", "theorem3-cnot", "--restarts", restarts])
+    assert code == 2
+    assert json.loads(out)["error"] == "NegativeCount"
+
+
+def test_cached_parser_prints_what_a_fresh_parser_prints(tmp_path, monkeypatch):
+    assert cli.build_parser() is cli.build_parser()
+    state = str(tmp_path / "rho.json")
+    write_state(state, ginibre_mixed(4, 34))
+    calls = [  # (argv, COHLAB_SEED)
+        (["compute", "--input", state, "--seed", "abc"], None),
+        (["compute", "--input", state], None),
+        (["compute", "--input", state, "--seed", "5"], None),
+        (["compute", "--input", state], "77"),
+        (["discord", "--fixture", "theorem3-cnot", "--restarts", "3"], None),
+        (["discord", "--input", state, "--dims", "2x2", "--restarts", "3"], None),
+        (["compute", "--help"], None),
+    ]
+
+    def run_all():
+        results = []
+        for argv, env_seed in calls:
+            if env_seed is None:
+                monkeypatch.delenv(cli.ENV_SEED, raising=False)
+            else:
+                monkeypatch.setenv(cli.ENV_SEED, env_seed)
+            buf = io.StringIO()
+            with redirect_stdout(buf):
+                try:
+                    code = main(argv)
+                except SystemExit as exc:  # --help
+                    code = exc.code
+            results.append((code, buf.getvalue()))
+        return results
+
+    cached = run_all()
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    assert cli.build_parser() is not cli.build_parser()
+    assert run_all() == cached
+    assert [code for code, _ in cached] == [2, 0, 0, 0, 0, 0, 0]
+    assert [json.loads(out)["meta"]["seed"] for _, out in cached[1:4]] == [0, 5, 77]
+    assert cached[-1][1].startswith("usage: cohlab compute")
 
 
 def test_cli_import_loads_no_scipy():

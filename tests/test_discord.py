@@ -25,7 +25,7 @@ from cohlab import (
 )
 from cohlab.channels import apply, validate_channel
 from cohlab.discord import _kept_weight, _starts, _sweep
-from cohlab.errors import NotIncoherentChannel
+from cohlab.errors import DimensionMismatch, NegativeCount, NotIncoherentChannel
 from cohlab.fixtures import block_unitary_example, cnot_attainment
 
 from oracles import (
@@ -33,6 +33,7 @@ from oracles import (
     product_coherence_commutator,
     psd_sqrt,
     qubit_a_discord,
+    random_start_unitaries,
     subsystem_coherence_commutator,
 )
 
@@ -216,6 +217,45 @@ def test_jacobi_sweep_never_lowers_kept_weight(sym, dims):
         new = _kept_weight(m, kept)
         assert np.all(new >= weight - 1e-13)
         weight = new
+
+
+@pytest.mark.parametrize("solve", [discord_sym, discord_asym])
+@pytest.mark.parametrize("restarts, error", [(0, NegativeCount), (-3, NegativeCount),
+                                              (2.5, DimensionMismatch)])
+def test_discord_rejects_bad_restart_counts(solve, restarts, error):
+    with pytest.raises(error):
+        solve(BELL, (2, 2), restarts=restarts)
+
+
+@pytest.mark.parametrize("sym, dims", [(True, (2, 2)), (True, (2, 3)), (True, (4, 3)),
+                                       (False, (3, 2)), (False, (4, 4))])
+@pytest.mark.parametrize("restarts", [1, 2, 3, 9])
+def test_starts_match_per_restart_draws(sym, dims, restarts):
+    da, db = dims
+    s = psd_sqrt(ginibre_mixed(da * db, child_rng(914, da * db)).mat)
+    ua, ub = _starts(s, dims, restarts, 7, sym)
+    ra, rb = random_start_unitaries(7, dims, restarts, sym)
+    assert ua.shape == (restarts, da, da) and ub.shape == (restarts, db, db)
+    assert np.array_equal(ua[2:], np.array(ra).reshape(-1, da, da))
+    assert np.array_equal(ub[2:], np.array(rb).reshape(-1, db, db) if sym
+                          else np.broadcast_to(np.eye(db), (len(ra), db, db)))
+
+
+@pytest.mark.parametrize("sym, most", [(True, 4), (False, 2)])
+def test_starts_eigh_calls_do_not_grow_with_restarts(sym, most, monkeypatch):
+    eigh, calls = np.linalg.eigh, []
+
+    def counted(a):
+        calls.append(a.shape)
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    s = psd_sqrt(ginibre_mixed(6, child_rng(915, 0)).mat)
+    for restarts in (1, 2, 3, 8, 32, 200):
+        calls.clear()
+        ua, _ = _starts(s, (2, 3), restarts, 0, sym)
+        assert len(ua) == restarts
+        assert len(calls) <= most
 
 
 def test_generalized_cnot_dim2_permutation():
