@@ -13,7 +13,7 @@ from .errors import (
     InfeasiblePattern,
     NegativeCount,
 )
-from .linalg import CHUNK_ENTRIES, DensityMatrix, _frozen, _require_finite, _validated
+from .linalg import CHUNK_ENTRIES, DensityMatrix, _frozen, _index, _require_finite, _validated
 from .linalg import validate_density
 from .rand import _complex_normal, _ginibre, as_rng, child_rng, random_hermitian
 
@@ -87,13 +87,6 @@ def _terms(ch: KrausChannel, rho: DensityMatrix) -> np.ndarray:
     return ch.operators @ rho.mat @ ch.operators.conj().swapaxes(-1, -2)
 
 
-def _outcomes(terms: np.ndarray) -> list:
-    """Normalized outcomes of a term stack, dropping those below ``OUTCOME_TOL``."""
-    probs = terms.trace(axis1=1, axis2=2).real.tolist()
-    return [SelectiveOutcome(p, validate_density(t / p))
-            for p, t in zip(probs, terms) if p >= OUTCOME_TOL]
-
-
 def apply(ch: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
     """Deterministic channel action sum_n M_n rho M_n^dag."""
     return validate_density(_terms(ch, rho).sum(axis=0))
@@ -105,7 +98,10 @@ def apply_selective(ch: KrausChannel, rho: DensityMatrix) -> list:
     Outcomes with probability below 1e-12 are dropped (the normalized state
     is undefined at zero probability).
     """
-    return _outcomes(_terms(ch, rho))
+    terms = _terms(ch, rho)
+    probs = terms.trace(axis1=1, axis2=2).real.tolist()
+    return [SelectiveOutcome(p, validate_density(t / p))
+            for p, t in zip(probs, terms) if p >= OUTCOME_TOL]
 
 
 @dataclass(frozen=True)
@@ -186,6 +182,7 @@ def random_incoherent_channel(dim: int, n_kraus: int, rng) -> KrausChannel:
     complex amplitudes; per-column normalization across operators enforces
     completeness exactly while preserving the single-entry columns.
     """
+    dim, n_kraus = _index(dim), _index(n_kraus)
     if n_kraus < 1:
         raise InfeasiblePattern("need at least one Kraus operator")
     rng = as_rng(rng)
@@ -207,6 +204,9 @@ def random_channel(dim: int, n_kraus: int, rng) -> KrausChannel:
 
     Ginibre blocks normalized jointly by (sum_n A_n^dag A_n)^(-1/2).
     """
+    dim, n_kraus = _index(dim), _index(n_kraus)
+    if n_kraus < 1:  # before normalize_kraus divides by the empty sum
+        raise IncompleteChannel("channel needs at least one Kraus operator")
     # block n draws its real then its imaginary part, as _complex_normal does
     g = as_rng(rng).standard_normal((n_kraus, 2, dim, dim))
     return validate_channel(normalize_kraus(g[:, 0] + 1j * g[:, 1]))
@@ -238,6 +238,7 @@ def monotonicity_sweep(
     Returns one ``MonotonicityVerdict`` per sample, in sample order, each
     equal to ``monotonicity_check`` of that sample.
     """
+    samples, dim = _index(samples), _index(dim)
     if samples < 0:
         raise NegativeCount(f"sample count {samples} is negative")
     if dim < 1:

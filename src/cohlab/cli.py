@@ -5,8 +5,9 @@ each output artifact embeds the seed, package version and the effective
 configuration.  Single results print as JSON, sweeps emit CSV (to stdout, or
 to ``--out`` with a summary on stdout).  Validation failures, bad arguments
 included, exit with code 2 and a machine-readable error object; fixture tables
-exit 1 when a row fails.  ``main`` reuses one parser per process: building it
-costs far more than parsing, and ``parse_args`` leaves it unchanged.
+print values by ``repr`` and exit 1 when a row fails.  ``main`` reuses one
+parser per process: building it costs far more than parsing, and
+``parse_args`` leaves it unchanged.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from . import __version__
 from .coherence import coherence_report, k_coherence
 from .discord import discord_asym, discord_sym
 from .errors import CohlabError, DimensionMismatch, NotFinite, ParseError
-from .fixtures import DISCORD_FIXTURES, fixture_report, k_coherence_counterexample
+from .fixtures import _CHANNEL_FIXTURES, DISCORD_FIXTURES, _lookup, fixture_report
 from .measurement import estimate_measures, true_measures
 from .metrology import metrology_report
 from .channels import monotonicity_check, monotonicity_sweep
@@ -62,14 +63,6 @@ def _parse_dims(text: str) -> tuple[int, int]:
         raise DimensionMismatch(f"--dims expects AxB, got {text!r}") from exc
 
 
-def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return str(value)
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def cmd_compute(args) -> int:
     rho = read_state(args.input)
     out = coherence_report(rho).to_dict()
@@ -85,13 +78,11 @@ def cmd_fixture(args) -> int:
     width = max(len(r.label) for r in rows)
     print(f"fixture {args.name}  (version {__version__}, seed {args.seed})")
     print(f"{'quantity'.ljust(width)}  {'computed':>22}  {'expected':>12}  {'tol':>8}  status")
-    ok_all = True
     for r in rows:
         tol = "exact" if r.tol is None else f"{r.tol:.0e}"
         status = "pass" if r.ok else "FAIL"
-        ok_all = ok_all and r.ok
-        print(f"{r.label.ljust(width)}  {_fmt(r.computed):>22}  {_fmt(r.expected):>12}  {tol:>8}  {status}")
-    return 0 if ok_all else 1
+        print(f"{r.label.ljust(width)}  {r.computed!r:>22}  {r.expected!r:>12}  {tol:>8}  {status}")
+    return 0 if all(r.ok for r in rows) else 1
 
 
 def _write_lines(path, lines):
@@ -133,9 +124,7 @@ def cmd_sweep(args) -> int:
 def cmd_monotonicity(args) -> int:
     columns = ["seed", "c_before", "c_avg_after", "c_after", "strong_ok", "weak_ok"]
     if args.fixture:
-        if args.fixture != "appendix-a":
-            raise DimensionMismatch(f"no channel fixture named {args.fixture!r}")
-        rho, channel, obs = k_coherence_counterexample()
+        rho, channel, obs = _lookup(_CHANNEL_FIXTURES, args.fixture)()
         verdict = monotonicity_check(channel, rho, measure=args.measure, observable=obs)
         meta = _meta(args.seed, measure=args.measure, fixture=args.fixture)
         rows = [(args.fixture, verdict)]
@@ -155,9 +144,7 @@ def cmd_monotonicity(args) -> int:
 
 def cmd_discord(args) -> int:
     if args.fixture:
-        if args.fixture not in DISCORD_FIXTURES:
-            raise DimensionMismatch(f"no discord fixture named {args.fixture!r}")
-        rho, dims = DISCORD_FIXTURES[args.fixture]()["rho_f"], (2, 2)
+        rho, dims = _lookup(DISCORD_FIXTURES, args.fixture)()["rho_f"], (2, 2)
     else:
         if not args.input or not args.dims:
             raise DimensionMismatch("discord needs --input and --dims (or --fixture)")

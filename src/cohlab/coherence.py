@@ -62,8 +62,12 @@ def skew_info(rho: DensityMatrix, k: int) -> float:
 
     Equals ``<k|rho|k> - <k|sqrt(rho)|k>^2`` and lies in [0, 1/4].
     """
-    k = _index(k, rho.dim)
-    return float(rho.diag()[k] - rho.sqrt_diag()[k] ** 2)
+    return float(_skew_per_k(rho, _index(k, rho.dim)))
+
+
+def _skew_per_k(rho: DensityMatrix, k=slice(None)):
+    """``diag(rho)[k] - diag(sqrt(rho))[k]^2``; one index k takes cheaper, same-bit scalar ops."""
+    return rho.diag()[k] - rho.sqrt_diag()[k] ** 2
 
 
 def c_skew(rho: DensityMatrix) -> float:
@@ -131,14 +135,20 @@ def skew_bounds(rho: DensityMatrix) -> tuple[float, float]:
     spectrum and the diagonal entries, so they are accessible without full
     state tomography.
     """
-    l2 = c_l2(rho)
-    return 0.5 * l2, 1.0 - rho.purity() + l2
+    return _skew_sandwich(c_l2(rho), rho.purity())
+
+
+def _skew_sandwich(l2: float, purity: float) -> tuple[float, float]:
+    """``(C_l2 / 2, 1 - Tr rho^2 + C_l2)`` from its two measurable inputs, exact or estimated."""
+    return 0.5 * l2, 1.0 - purity + l2
 
 
 def l1_bounds(rho: DensityMatrix) -> tuple[float, float]:
     """Measurable sandwich ``(C_l2, sqrt(N(N-1) C_l2))`` for the l1 coherence."""
-    l2 = c_l2(rho)
-    n = rho.dim
+    return _l1_sandwich(c_l2(rho), rho.dim)
+
+
+def _l1_sandwich(l2: float, n: int) -> tuple[float, float]:
     return l2, float(np.sqrt(n * (n - 1) * l2))
 
 
@@ -186,18 +196,15 @@ class CoherenceReport:
 
 
 def coherence_report(rho: DensityMatrix) -> CoherenceReport:
-    d = rho.diag()
-    s = rho.sqrt_diag()
-    per_k = d - s**2
-    per_k.setflags(write=False)
-    lo, hi = skew_bounds(rho)
-    l1lo, l1hi = l1_bounds(rho)
+    l2, purity = c_l2(rho), rho.purity()
+    lo, hi = _skew_sandwich(l2, purity)
+    l1lo, l1hi = _l1_sandwich(l2, rho.dim)
     return CoherenceReport(
         c_skew=c_skew(rho),
         c_rel=c_rel_entropy(rho),
         c_l1=c_l1(rho),
-        c_l2=c_l2(rho),
-        purity=rho.purity(),
-        skew_per_k=per_k,
+        c_l2=l2,
+        purity=purity,
+        skew_per_k=_frozen(_skew_per_k(rho)),
         bounds={"skew_lower": lo, "skew_upper": hi, "l1_lower": l1lo, "l1_upper": l1hi},
     )

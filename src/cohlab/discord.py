@@ -7,7 +7,8 @@ objective that Jacobi sweeps maximize with closed-form pair rotations (Cardoso a
 Souloumiac, SIAM J. Matrix Anal. Appl. 17, 161 (1996)); for a qubit A one rotation
 is optimal, so ``discord_asym`` is exact there (Girolami et al., PRL 110, 240402).
 All ``restarts`` starts are swept as one stack and the best is returned; ``converged``
-says the two best agree within ``CONVERGENCE_GAP`` and the best beat the sweep cap.
+says there were at least two restarts, the two best agree within ``CONVERGENCE_GAP`` and
+the best beat the sweep cap.  One restart has nothing to agree with, so it never converges.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 from .channels import KrausChannel, apply, is_incoherent, validate_channel
 from .coherence import c_skew, check_unitary
 from .errors import DimensionMismatch, NegativeCount, NotIncoherentChannel
-from .linalg import DensityMatrix, _index, _subsystem_dims, sqrtm, tensor
+from .linalg import DensityMatrix, _frozen, _index, _subsystem_dims, sqrtm, tensor
 from .rand import as_rng
 
 CONVERGENCE_GAP = 1e-5
@@ -36,11 +37,7 @@ class LocalBasis:
 
 
 def local_basis(u_a, u_b) -> LocalBasis:
-    u_a = check_unitary(u_a).copy()
-    u_b = check_unitary(u_b).copy()
-    u_a.setflags(write=False)
-    u_b.setflags(write=False)
-    return LocalBasis(u_a, u_b)
+    return LocalBasis(_frozen(check_unitary(u_a).copy()), _frozen(check_unitary(u_b).copy()))
 
 
 @dataclass(frozen=True)
@@ -163,7 +160,7 @@ def _solve(rho_ab, dims, restarts, max_iters, seed, sym) -> DiscordResult:
     basis = local_basis(ua[best], ub[best])
     value = (product_basis_coherence(rho_ab, (da, db), basis) if sym
              else subsystem_coherence(rho_ab, (da, db), basis.u_a))
-    converged = not active[best] and np.ptp(np.sort(weight)[-2:]) <= CONVERGENCE_GAP
+    converged = len(m) > 1 and not active[best] and np.ptp(np.sort(weight)[-2:]) <= CONVERGENCE_GAP
     return DiscordResult(max(value, 0.0), basis, len(m), bool(converged), int(sweeps[best]))
 
 
@@ -173,7 +170,7 @@ def discord_sym(rho_ab: DensityMatrix, dims, restarts: int = 32, max_iters: int 
 
     The ``restarts`` starts (at least 1, else ``NegativeCount``) are swept together; each
     stops after ``max_iters`` sweeps or a sweep that raises its summed squared diagonal by
-    at most ``SWEEP_TOL``.
+    at most ``SWEEP_TOL``.  ``converged`` needs at least two restarts whose best two agree.
     """
     return _solve(rho_ab, dims, restarts, max_iters, seed, True)
 

@@ -5,7 +5,8 @@ probe over n state copies measures Tr rho^n, and the power sums for
 n = 1..N determine the eigenvalues through Newton's identities.  This module
 samples the probe outcomes at finite shots (the outcome distribution is
 exact, so no gate-level simulation is needed), recovers the spectrum, and
-rebuilds the spectrum-plus-diagonal coherence quantities from the estimates.
+rebuilds the spectrum-plus-diagonal coherence quantities from the estimates,
+the skew bounds through the same sandwich formula as ``skew_bounds``.
 """
 
 from __future__ import annotations
@@ -14,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coherence import _entropy_bits, c_l2, c_rel_entropy, skew_bounds
+from .coherence import _entropy_bits, _skew_sandwich, c_l2, c_rel_entropy
 from .errors import DimensionMismatch
-from .linalg import DensityMatrix, _require_finite
+from .linalg import DensityMatrix, _frozen, _index, _require_finite
 from .rand import as_rng, child_rng
 
 IMAG_TOL = 1e-6
@@ -25,6 +26,7 @@ WELL_CONDITIONED_DIM = 6
 
 def exact_trace_powers(rho: DensityMatrix, max_n: int) -> np.ndarray:
     """[Tr rho, Tr rho^2, ..., Tr rho^max_n] from the stored spectrum."""
+    max_n = _index(max_n)
     if max_n < 1:
         raise DimensionMismatch("max_n must be at least 1")
     w = rho.eigenvalues
@@ -50,6 +52,7 @@ class ShotRecord:
 
 def simulate_shots(rho: DensityMatrix, n: int, shots: int, rng) -> ShotRecord:
     """Sample the probe's +1 count: Binomial(shots, (1 + Tr rho^n)/2)."""
+    n, shots = _index(n), _index(shots)
     if n < 2:
         raise DimensionMismatch("probe powers start at n = 2")
     if shots < 1:
@@ -99,9 +102,7 @@ def recover_spectrum(trace_powers) -> SpectrumEstimate:
         lam = lam / total
     lam = np.sort(lam)[::-1]
     residuals = np.array([abs(float(np.sum(lam ** (m + 1))) - p[m]) for m in range(n)])
-    lam.setflags(write=False)
-    residuals.setflags(write=False)
-    return SpectrumEstimate(eigenvalues=lam, residuals=residuals, ill_conditioned=flagged)
+    return SpectrumEstimate(_frozen(lam), _frozen(residuals), flagged)
 
 
 @dataclass(frozen=True)
@@ -164,20 +165,18 @@ def estimate_measures(
     if diag_shots is not None:
         counts = child_rng(seed, 0).multinomial(diag_shots, diag / diag.sum())
         diag = counts / diag_shots
-    diag.setflags(write=False)
 
     lam = spectrum.eigenvalues
     purity_hat = float(np.sum(lam**2))
     c_l2_hat = purity_hat - float(diag @ diag)
     c_rel_hat = _entropy_bits(diag) - _entropy_bits(lam)
-    bounds_hat = (0.5 * c_l2_hat, 1.0 - purity_hat + c_l2_hat)
     return MeasurementEstimate(
         spectrum=spectrum,
         shot_records=tuple(records),
-        diag=diag,
+        diag=_frozen(diag),
         c_rel_hat=c_rel_hat,
         c_l2_hat=c_l2_hat,
-        skew_bounds_hat=bounds_hat,
+        skew_bounds_hat=_skew_sandwich(c_l2_hat, purity_hat),
         swap_settings=nd - 1,
         projector_probes=nd - 1,
     )
@@ -185,10 +184,10 @@ def estimate_measures(
 
 def true_measures(rho: DensityMatrix) -> dict:
     """Exact counterparts of the estimated quantities, for side-by-side output."""
-    lo, hi = skew_bounds(rho)
+    l2 = c_l2(rho)
     return {
         "eigenvalues": [float(x) for x in rho.eigenvalues],
         "c_rel": c_rel_entropy(rho),
-        "c_l2": c_l2(rho),
-        "skew_bounds": [lo, hi],
+        "c_l2": l2,
+        "skew_bounds": list(_skew_sandwich(l2, rho.purity())),
     }

@@ -3,7 +3,8 @@
 For the phase family exp(-i phi |k><k|) rho exp(i phi |k><k|), the quantum
 Fisher information per basis index is sandwiched between 4x and 8x the skew
 information, so the summed inverse optimal phase variances of a full scan of
-the basis are controlled by the coherence alone.
+the basis are controlled by the coherence alone.  A report builds the
+spectral ratio matrix and the per-index skew vector once for all indices.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coherence import c_skew, skew_info
+from .coherence import _skew_per_k, c_skew, skew_info
 from .errors import DimensionMismatch
 from .linalg import DensityMatrix, _index
 
@@ -28,12 +29,15 @@ def qfi_projector(rho: DensityMatrix, k: int) -> float:
     |<j|k>|^2``; pairs with ``l_i + l_j`` below the cutoff contribute nothing
     (the generator cannot connect a doubly-dark pair).
     """
-    w = rho.eigenvalues
     a = np.abs(rho.eigenvectors[_index(k, rho.dim), :]) ** 2
+    return float(2.0 * a @ _qfi_ratio(rho.eigenvalues) @ a)
+
+
+def _qfi_ratio(w: np.ndarray) -> np.ndarray:
+    """``(l_i - l_j)^2 / (l_i + l_j)``, zero where ``l_i + l_j`` is below the cutoff."""
     s = w[:, None] + w[None, :]
     num = (w[:, None] - w[None, :]) ** 2
-    ratio = np.divide(num, s, out=np.zeros_like(s), where=s > SPECTRAL_CUTOFF)
-    return float(2.0 * a @ ratio @ a)
+    return np.divide(num, s, out=np.zeros_like(s), where=s > SPECTRAL_CUTOFF)
 
 
 def skew_qfi_sandwich(rho: DensityMatrix, k: int, tol: float = SANDWICH_TOL) -> dict:
@@ -71,16 +75,18 @@ def metrology_report(rho: DensityMatrix, n_runs: int) -> MetrologyReport:
     Fisher information carry infinite variance, are flagged, and drop out of
     the inverse-variance sum (their contribution is genuinely zero).
     """
+    n_runs = _index(n_runs)
     if n_runs < 1:
         raise DimensionMismatch("n_runs must be at least 1")
     n = float(n_runs)
     coh = c_skew(rho)
+    ratio = _qfi_ratio(rho.eigenvalues)
     per_k = []
     excluded = []
     sum_inv = 0.0
-    for k in range(rho.dim):
-        i = skew_info(rho, k)
-        fq = qfi_projector(rho, k)
+    # qfi_projector per row of |V|^2: a batched (A @ ratio * A).sum(1) or einsum changes the bits
+    for k, (i, a) in enumerate(zip(_skew_per_k(rho).tolist(), np.abs(rho.eigenvectors) ** 2)):
+        fq = float(2.0 * a @ ratio @ a)
         finite = fq > SPECTRAL_CUTOFF
         if finite:
             sum_inv += n * fq

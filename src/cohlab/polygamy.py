@@ -228,6 +228,7 @@ def sweep_polygamy(dims, n_samples: int, seed: int) -> list:
     if len(dims) != 2 or min(dims) < 1:
         raise DimensionMismatch(f"dims {dims} are not two positive integers")
     da, db = dims
+    n_samples = _index(n_samples)
     if n_samples < 0:
         raise NegativeCount(f"sample count {n_samples} is negative")
     dim = da * db

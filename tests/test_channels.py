@@ -1,5 +1,6 @@
 import os
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from cohlab import (
 )
 from cohlab.channels import COMPLETENESS_ATOL, KrausChannel, completeness_residual
 from cohlab.coherence import validate_observable
-from cohlab.errors import DimensionMismatch, IncompleteChannel
+from cohlab.errors import DimensionMismatch, IncompleteChannel, InfeasiblePattern, NegativeCount
 from cohlab.rand import random_hermitian
 from cohlab.fixtures import (
     k_coherence_counterexample,
@@ -305,3 +306,34 @@ def test_maximally_coherent_unaffected_probability_structure():
     ch = random_incoherent_channel(2, 2, 4)
     outs = apply_selective(ch, maximally_coherent(2))
     assert sum(o.probability for o in outs) == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("n_kraus", [0, -2])
+def test_random_channel_without_operators_raises_before_any_warning(n_kraus):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(IncompleteChannel):
+            random_channel(3, n_kraus, 0)
+
+
+@pytest.mark.parametrize("call,error", [
+    (lambda: random_channel(3, 1.5, 0), DimensionMismatch),
+    (lambda: random_channel(3.0, 2, 0), DimensionMismatch),
+    (lambda: random_incoherent_channel(3, 2.0, 0), DimensionMismatch),
+    (lambda: random_incoherent_channel(3, -1, 0), InfeasiblePattern),
+    (lambda: monotonicity_sweep("skew", 2.5, 3, seed=0), DimensionMismatch),
+    (lambda: monotonicity_sweep("skew", 2, 3.0, seed=0), DimensionMismatch),
+    (lambda: monotonicity_sweep("skew", -1, 3, seed=0), NegativeCount),
+], ids=["kraus-float", "dim-float", "incoherent-kraus-float", "incoherent-kraus-negative",
+        "sweep-samples-float", "sweep-dim-float", "sweep-samples-negative"])
+def test_counts_and_dims_follow_the_integer_rule(call, error):
+    with pytest.raises(error):
+        call()
+
+
+def test_check_rejects_k_without_observable_and_unknown_measures():
+    rho, channel, _ = k_coherence_counterexample()
+    with pytest.raises(DimensionMismatch, match="needs an observable"):
+        monotonicity_check(channel, rho, measure="k")
+    with pytest.raises(DimensionMismatch, match="unknown measure"):
+        monotonicity_check(channel, rho, measure="l1")

@@ -249,6 +249,18 @@ def test_fixture_theorem3_block_passes():
     assert "FAIL" not in out
 
 
+@pytest.mark.parametrize("name,budget,last", [
+    ("theorem3-cnot", 0.5000000000000002, "attained"),
+    ("theorem3-block", 0.7500000000000002, "below_budget"),
+])
+def test_theorem3_budget_row_is_computed_from_the_inputs(name, budget, last):
+    # 1 - (1 - C(A))(1 - C(B)) of the fixture's factors, not the stored 0.5 or 0.75
+    rows = {r.label: r for r in fixture_report(name)}
+    assert list(rows) == ["discord_sym", "bound", last]
+    assert rows["bound"].computed == budget
+    assert all(r.ok for r in rows.values())
+
+
 def test_fixture_appendix_d_passes():
     code, out = run_cli(["fixture", "appendix-d"])
     assert code == 0
@@ -357,6 +369,27 @@ def test_discord_requires_input_or_fixture():
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["fixture", "nope"],
+    ["discord", "--fixture", "nope"],
+    ["discord", "--fixture", "appendix-a"],
+    ["monotonicity", "--fixture", "nope"],
+    ["monotonicity", "--fixture", "theorem3-cnot"],
+])
+def test_every_fixture_option_rejects_unknown_names_alike(argv):
+    code, out = run_cli(argv)
+    assert code == 2
+    err = json.loads(out)
+    assert err["error"] == "UnknownFixture" and "choose from" in err["detail"]
+
+
+def test_malformed_dims_exit_2():
+    code, out = run_cli(["sweep", "polygamy", "--dims", "3by3", "--samples", "1"])
+    assert code == 2
+    assert json.loads(out) == {"error": "DimensionMismatch",
+                               "detail": "--dims expects AxB, got '3by3'"}
+
+
 def test_metrology_cli(plus_file):
     code, out = run_cli(["metrology", "--input", plus_file, "--runs", "1"])
     assert code == 0
@@ -422,6 +455,8 @@ def test_monotonicity_csv_bytes_are_pinned(tmp_path, measure, dim, digest):
     ("compute", "5b90747aa4b5258127443a8d35ce4da5cc4fe929e7c8c476c8a8850272fa2c3e"),
     ("metrology", "61d12308790ec21b89a6c6d2066a98afab2f994facdd0d97457ee963555d9b2f"),
     ("discord", "fd778de671425fb9f293a70c623681a0d6756c569d38e804169ddf771e2723fe"),
+    ("simulate-measure", "d330275248bb6978a6a86fb1de51f9e16fc910919b11f9f1c78b21c5b0391ba4"),
+    ("simulate-measure-exact", "c9c968997b40ad3f02e91c8075e877624641ec5ad67e48c68582473ea308713f"),
 ])
 def test_report_bytes_are_pinned(tmp_path, command, digest):
     # SHA-256 of the JSON report without "meta", which embeds the input path
@@ -432,6 +467,9 @@ def test_report_bytes_are_pinned(tmp_path, command, digest):
         "compute": ["compute", "--input", str(state), "--observable", str(obs)],
         "metrology": ["metrology", "--input", str(state), "--runs", "37"],
         "discord": ["discord", "--fixture", "theorem3-block"],
+        "simulate-measure": ["simulate-measure", "--input", str(state), "--shots", "1000"],
+        "simulate-measure-exact": ["simulate-measure", "--input", str(state), "--shots", "1000",
+                                   "--exact-powers"],
     }[command]
     code, out = run_cli(argv)
     assert code == 0
@@ -445,12 +483,16 @@ def test_report_bytes_are_pinned(tmp_path, command, digest):
     ("2x3", ["--mode", "asym"], "59e8ec187485118431aa69c1f94bced381420528fe8d88728ab0d53faa0eee44"),
     ("3x3", ["--mode", "sym", "--restarts", "5"],
      "3a420dd7ed5d9d0a98c077f04bad432850d65748ad100640295f776b0e98438b"),
-    # one and two restarts draw no random start
-    ("2x3", ["--restarts", "1"], "67758a255d9cbade75634ce6ba5622119c4b80183139ed93056339757663926c"),
+    # one and two restarts draw no random start; one restart never reports convergence
+    ("2x3", ["--restarts", "1"], "e25227cca6d49ad9a5cfb48672546572494c80fcf9a8f971e069b77298878bcb"),
     ("2x3", ["--restarts", "2"], "be6909808181f928e72afc651030a8460b5e9517166694be558185f34593120d"),
 ])
 def test_discord_bytes_are_pinned(tmp_path, dims, extra, digest):
     # SHA-256 of the JSON report without "meta", as the per-restart start loop wrote it
+    assert _discord_digest(tmp_path, dims, extra) == digest
+
+
+def _discord_digest(tmp_path, dims, extra, **overrides):
     da, db = map(int, dims.split("x"))
     state = tmp_path / "rho.json"
     write_state(str(state), ginibre_mixed(da * db, 33))
@@ -458,7 +500,14 @@ def test_discord_bytes_are_pinned(tmp_path, dims, extra, digest):
     assert code == 0
     report = json.loads(out)
     del report["meta"]
-    assert hashlib.sha256(json.dumps(report, indent=2).encode()).hexdigest() == digest
+    report.update(overrides)
+    return hashlib.sha256(json.dumps(report, indent=2).encode()).hexdigest()
+
+
+def test_one_restart_report_changed_only_in_converged(tmp_path):
+    # the pin from when one restart read as converged: every other byte is kept
+    assert _discord_digest(tmp_path, "2x3", ["--restarts", "1"], converged=True) == (
+        "67758a255d9cbade75634ce6ba5622119c4b80183139ed93056339757663926c")
 
 
 @pytest.mark.parametrize("restarts", ["0", "-3"])

@@ -279,3 +279,19 @@ def test_coherence_report_consistency():
         assert min(rep.c_skew, rep.c_rel, rep.c_l1, rep.c_l2) >= -1e-12
         d = rep.to_dict()
         assert set(d["bounds"]) == {"skew_lower", "skew_upper", "l1_lower", "l1_upper"}
+
+
+def test_k_coherence_rejects_an_observable_of_another_dimension():
+    with pytest.raises(DimensionMismatch):
+        k_coherence(ginibre_mixed(3, 1), validate_observable(np.eye(2)))
+
+
+def test_report_fields_are_bit_identical_to_the_single_measures():
+    for dim in (1, 2, 5, 16):
+        rho = ginibre_mixed(dim, child_rng(616, dim))
+        rep = coherence_report(rho)
+        assert (rep.c_skew, rep.c_rel, rep.c_l1, rep.c_l2) == (
+            c_skew(rho), c_rel_entropy(rho), c_l1(rho), c_l2(rho))
+        assert rep.skew_per_k.tolist() == [skew_info(rho, k) for k in range(dim)]
+        assert (rep.bounds["skew_lower"], rep.bounds["skew_upper"]) == skew_bounds(rho)
+        assert (rep.bounds["l1_lower"], rep.bounds["l1_upper"]) == l1_bounds(rho)

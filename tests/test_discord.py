@@ -320,3 +320,13 @@ def test_bound_check_rejects_coherent_channel():
         discord_bound_check(
             maximally_coherent(2), maximally_coherent(2), validate_channel([h])
         )
+
+
+@pytest.mark.parametrize("solve", [discord_sym, discord_asym])
+def test_one_restart_never_reports_convergence(solve):
+    # the two best of one restart are one weight, whose spread of 0 once read as agreement
+    rho = ginibre_mixed(6, 33)
+    one = solve(rho, (2, 3), restarts=1, seed=7)
+    two = solve(rho, (2, 3), restarts=2, seed=7)
+    assert one.sweeps < 2000 and not one.converged
+    assert one.value == two.value and two.converged

@@ -325,3 +325,19 @@ def test_qfi_projector_of_near_singular_states(state, data):
                       for i in range(len(w)) for j in range(len(w)))
     assert qfi_projector(rho, k) == pytest.approx(exact, abs=1e-10)
     assert skew_qfi_sandwich(rho, k)["ok"]
+
+
+def test_partial_trace_rejects_an_empty_keep():
+    with pytest.raises(DimensionMismatch, match="keep names no subsystem"):
+        partial_trace(ginibre_mixed(4, 1), [2, 2], [])
+
+
+def test_pure_state_rejects_the_zero_vector():
+    with pytest.raises(DimensionMismatch, match="zero vector"):
+        pure_state(0)
+
+
+def test_check_unitary_rejects_a_unitary_of_the_wrong_dimension():
+    with pytest.raises(DimensionMismatch, match="expected 3"):
+        check_unitary(np.eye(2), 3)
+    assert np.array_equal(check_unitary(np.eye(2), 2), np.eye(2))

@@ -182,3 +182,22 @@ def test_cost_accounting():
         assert est.projector_probes == d - 1
         assert len(est.shot_records) == d - 1
         assert [r.power for r in est.shot_records] == list(range(2, d + 1))
+
+
+@pytest.mark.parametrize("call", [
+    lambda rho: simulate_shots(rho, 2, 2.5, 0),
+    lambda rho: simulate_shots(rho, 2.0, 10, 0),
+    lambda rho: simulate_shots(rho, 2, 0, 0),
+    lambda rho: exact_trace_powers(rho, 1.5),
+    lambda rho: exact_trace_powers(rho, 0),
+    lambda rho: estimate_measures(rho, 2.5, 0),
+], ids=["shots-float", "power-float", "shots-zero", "max-n-float", "max-n-zero",
+        "estimate-shots-float"])
+def test_counts_are_positive_integers(call):
+    with pytest.raises(DimensionMismatch):
+        call(ginibre_mixed(3, 1))
+
+
+def test_recover_rejects_empty_power_sums():
+    with pytest.raises(DimensionMismatch):
+        recover_spectrum([])

@@ -1,7 +1,12 @@
+import json
 import math
 
 import numpy as np
 import pytest
+
+import cohlab.coherence
+import cohlab.linalg
+import cohlab.metrology
 
 from cohlab import (
     c_skew,
@@ -14,6 +19,8 @@ from cohlab import (
     skew_qfi_sandwich,
     validate_density,
 )
+
+from cohlab.errors import DimensionMismatch
 
 from oracles import qfi_finite_difference
 
@@ -118,12 +125,46 @@ def test_report_plus_state_single_run():
 
 
 def test_report_per_k_consistency():
-    rho = ginibre_mixed(3, 9)
+    # the report's per-index values carry the single-index functions' bits
     n = 50
-    rep = metrology_report(rho, n)
-    for k, entry in enumerate(rep.per_k):
-        assert entry["skew"] == pytest.approx(skew_info(rho, k), abs=1e-12)
-        assert entry["qfi"] == pytest.approx(qfi_projector(rho, k), abs=1e-12)
-        if entry["finite"]:
-            assert entry["var_opt"] == pytest.approx(1.0 / (n * entry["qfi"]), abs=1e-12)
-            assert entry["var_lower"] - 1e-12 <= entry["var_opt"] <= entry["var_upper"] + 1e-12
+    for dim in (1, 2, 3, 5, 16):
+        rho = ginibre_mixed(dim, 9)
+        rep = metrology_report(rho, n)
+        for k, entry in enumerate(rep.per_k):
+            assert entry["skew"] == skew_info(rho, k)
+            assert entry["qfi"] == qfi_projector(rho, k)
+            if entry["finite"]:
+                assert entry["var_opt"] == pytest.approx(1.0 / (n * entry["qfi"]), abs=1e-12)
+                assert entry["var_lower"] - 1e-12 <= entry["var_opt"] <= entry["var_upper"] + 1e-12
+
+
+@pytest.mark.parametrize("dim", [1, 4, 9])
+def test_report_builds_the_ratio_once_and_sqrt_diag_at_most_twice(dim, monkeypatch):
+    calls = {"ratio": 0, "sqrt_diag": 0}
+
+    def counted(name, fn):
+        def wrapped(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapped
+
+    rho = ginibre_mixed(dim, 11)
+    ratio = counted("ratio", cohlab.metrology._qfi_ratio)
+    monkeypatch.setattr(cohlab.metrology, "_qfi_ratio", ratio)
+    sqrt_diag = counted("sqrt_diag", cohlab.linalg._sqrt_diag)
+    monkeypatch.setattr(cohlab.linalg, "_sqrt_diag", sqrt_diag)
+    monkeypatch.setattr(cohlab.coherence, "_sqrt_diag", sqrt_diag)
+    metrology_report(rho, 10)
+    assert calls["ratio"] == 1
+    assert 1 <= calls["sqrt_diag"] <= 2
+
+
+@pytest.mark.parametrize("n_runs", [2.5, "3", True, 0, -1])
+def test_report_rejects_run_counts_that_are_not_positive_integers(n_runs):
+    with pytest.raises(DimensionMismatch):
+        metrology_report(maximally_coherent(2), n_runs)
+
+
+def test_report_run_count_prints_as_an_integer():
+    rep = metrology_report(maximally_coherent(2), np.int64(3))
+    assert json.loads(json.dumps(rep.to_dict()))["n_runs"] == 3

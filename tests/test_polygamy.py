@@ -368,3 +368,9 @@ def test_qubit_violation_search_replays():
     # the proven forms hold even on violating states
     for _, rec in found[:5]:
         assert all(g >= -1e-9 for g in rec.theorem_gaps().values())
+
+
+@pytest.mark.parametrize("n_samples", [2.5, "4", None])
+def test_sweep_rejects_non_integer_sample_counts(n_samples):
+    with pytest.raises(DimensionMismatch):
+        sweep_polygamy((2, 2), n_samples, 0)
