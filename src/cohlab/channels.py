@@ -6,22 +6,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coherence import Observable, _c_skew_of, _k_of, validate_observable
+from .coherence import Observable, _c_skew_of, _k_of
 from .errors import (
     DimensionMismatch,
     IncompleteChannel,
     InfeasiblePattern,
     NegativeCount,
 )
-from .linalg import CHUNK_ENTRIES, DensityMatrix, _frozen, _index, _require_finite, _validated
-from .linalg import validate_density
-from .rand import _complex_normal, _ginibre, as_rng, child_rng, random_hermitian
+from .linalg import DensityMatrix, _chunks, _dim, _frozen, _hermitian, _index, _require_finite
+from .linalg import _validated, validate_density
+from .rand import _hermitian_part, _normalized_gram, as_rng, child_rng
 
 COMPLETENESS_ATOL = 1e-9
 SUPPORT_TOL = 1e-12
 OUTCOME_TOL = 1e-12
 MONOTONE_TOL = 1e-9
 MAX_TRIES = 20  # amplitude draws random_incoherent_channel makes before giving up
+NORM_FLOOR = 1e-6  # smallest column norm of the amplitudes random_incoherent_channel keeps
 
 
 @dataclass(frozen=True)
@@ -48,8 +49,29 @@ class SelectiveOutcome:
 def completeness_residual(ops) -> float:
     """Max-norm distance of sum_n M_n^dag M_n from the identity."""
     ops = np.asarray(ops, dtype=complex)
-    acc = (ops.conj().swapaxes(-1, -2) @ ops).sum(axis=0)
-    return float(np.abs(acc - np.eye(ops.shape[-1])).max())
+    return float(_residuals(ops, [len(ops)])[0])
+
+
+def _residuals(ops: np.ndarray, counts) -> np.ndarray:
+    """``completeness_residual`` of each channel; channel ``j`` owns the next ``counts[j]``
+    operators."""
+    gram = _padded(ops.conj().swapaxes(-1, -2) @ ops, counts).sum(axis=1)
+    return np.abs(gram - np.eye(ops.shape[-1])).max(axis=(-2, -1))
+
+
+def _require_complete(ops: np.ndarray, counts):
+    res = float(_residuals(ops, counts).max())
+    if res > COMPLETENESS_ATOL:
+        raise IncompleteChannel(f"completeness residual {res:.3e} exceeds {COMPLETENESS_ATOL:.1e}")
+
+
+def _padded(x: np.ndarray, counts) -> np.ndarray:
+    """``(len(counts), max(counts), ...)`` stack: group ``j`` holds the next ``counts[j]`` rows of
+    ``x``, then zeros.  Summing over axis 1 adds the zeros last, which keeps each group's bits."""
+    counts = np.asarray(counts)
+    out = np.zeros((len(counts), counts.max()) + x.shape[1:], dtype=x.dtype)
+    out[np.arange(counts.max()) < counts[:, None]] = x
+    return out
 
 
 def validate_channel(ops) -> KrausChannel:
@@ -65,9 +87,7 @@ def validate_channel(ops) -> KrausChannel:
     if ops.ndim != 3 or 0 in ops.shape:
         raise DimensionMismatch(f"expected a stack of 2-D Kraus operators, got shape {ops.shape}")
     _require_finite(ops)
-    res = completeness_residual(ops)
-    if res > COMPLETENESS_ATOL:
-        raise IncompleteChannel(f"completeness residual {res:.3e} exceeds {COMPLETENESS_ATOL:.1e}")
+    _require_complete(ops, [len(ops)])
     return KrausChannel(_frozen(ops))
 
 
@@ -136,11 +156,12 @@ def monotonicity_check(
             raise DimensionMismatch(f"observable dim {observable.dim} != state dim {rho.dim}")
         ks = observable.mat[None]
     state = (rho.mat[None], rho.eigenvalues[None], rho.eigenvectors[None])
-    return _verdicts([ch.operators], *state, measure, ks)[0]
+    return _verdicts(ch.operators, [len(ch.operators)], *state, measure, ks)[0]
 
 
-def _verdicts(ops_list, mat, w, v, measure: str, ks) -> list:
-    """Verdict of each validated state ``(mat[j], w[j], v[j])`` under the Kraus stack ``ops_list[j]``.
+def _verdicts(ops, counts, mat, w, v, measure: str, ks) -> list:
+    """Verdict of each validated state ``(mat[j], w[j], v[j])`` under its channel, the next
+    ``counts[j]`` operators of the Kraus stack ``ops``.
 
     ``ks[j]`` is the observable of state ``j`` for the ``"k"`` measure.  The
     outcomes of all states are validated as one stack, and so are the channel
@@ -152,23 +173,20 @@ def _verdicts(ops_list, mat, w, v, measure: str, ks) -> list:
         coherence = lambda mat, w, v, owners: _k_of(mat, w, v, ks[owners])
     else:
         raise DimensionMismatch(f"unknown measure {measure!r}")
-    counts = [len(ops) for ops in ops_list]
     owner = np.repeat(np.arange(len(counts)), counts)
-    ops = np.concatenate(ops_list)
     terms = ops @ mat[owner] @ ops.conj().swapaxes(-1, -2)
     probs = terms.trace(axis1=-2, axis2=-1).real
     kept = probs >= OUTCOME_TOL
     outcomes = _validated(terms[kept] / probs[kept, None, None])
-    # sum(axis=0) per sample: np.add.reduceat sums in another order and changes the bits
-    after = _validated(np.stack([t.sum(axis=0) for t in np.split(terms, np.cumsum(counts[:-1]))]))
+    # np.add.reduceat would sum in another order than a lone sample's sum(axis=0)
+    after = _validated(_padded(terms, counts).sum(axis=1))
     samples = np.arange(len(counts))
     c_before = coherence(mat, w, v, samples).tolist()
     c_after = coherence(*after, samples).tolist()
     kept_owner = owner[kept]
-    weighted = [[] for _ in counts]
-    for j, pc in zip(kept_owner.tolist(), (probs[kept] * coherence(*outcomes, kept_owner)).tolist()):
-        weighted[j].append(pc)
-    c_avg = [float(sum(pcs)) for pcs in weighted]
+    weighted = (probs[kept] * coherence(*outcomes, kept_owner)).tolist()
+    ends = np.cumsum(np.bincount(kept_owner, minlength=len(samples))).tolist()
+    c_avg = [float(sum(weighted[a:b])) for a, b in zip([0] + ends, ends)]
     return [
         MonotonicityVerdict(b, a, f, strong_ok=a <= b + MONOTONE_TOL, weak_ok=f <= b + MONOTONE_TOL)
         for b, a, f in zip(c_before, c_avg, c_after)
@@ -179,24 +197,71 @@ def random_incoherent_channel(dim: int, n_kraus: int, rng) -> KrausChannel:
     """Random incoherent channel with ``n_kraus`` operators.
 
     Each operator gets an independent permutation support pattern with random
-    complex amplitudes; per-column normalization across operators enforces
+    complex amplitudes, redrawn (at most ``MAX_TRIES`` times) while a column
+    norm is below ``NORM_FLOOR``.  The channel is built by ``_incoherent_ops``,
+    the stacked builder that ``monotonicity_sweep`` runs per chunk, on this
+    one draw: it normalizes each column across operators, which enforces
     completeness exactly while preserving the single-entry columns.
     """
-    dim, n_kraus = _index(dim), _index(n_kraus)
+    dim, n_kraus = _dim(dim), _index(n_kraus)
     if n_kraus < 1:
         raise InfeasiblePattern("need at least one Kraus operator")
-    rng = as_rng(rng)
+    draw = _kept_draw(as_rng(rng), np.tile(np.arange(dim), (n_kraus, 1)))
+    rows, amps, counts = _channel_draws([draw], dim)
+    return KrausChannel(_frozen(_incoherent_ops(rows, amps, counts, dim)))
+
+
+def _draw(rng, tile: np.ndarray, tail: int = 0) -> tuple:
+    """One draw of a channel: its supports, then ``2 * tile.size + tail`` normals in one call.
+
+    Row ``n`` of ``tile`` (``arange(dim)``) is permuted with the values of the
+    ``n``-th ``rng.permutation(dim)``.  The normals hold the real then the
+    imaginary parts of the ``tile.shape`` amplitudes and ``tail`` more; one
+    call returns the values that consecutive calls for the same total return.
+    """
+    return rng.permuted(tile, axis=1), rng.standard_normal(2 * tile.size + tail)
+
+
+def _kept_draw(rng, tile: np.ndarray, tail: int = 0) -> tuple:
+    """The first of up to ``MAX_TRIES`` ``_draw``s whose column norms all reach ``NORM_FLOOR``,
+    with ``tail`` normals drawn after it."""
     for _ in range(MAX_TRIES):
-        # row n draws the same values as the n-th rng.permutation(dim) call
-        rows = rng.permuted(np.tile(np.arange(dim), (n_kraus, 1)), axis=1)
-        amps = _complex_normal(rng, (n_kraus, dim))
-        norms = np.sqrt((np.abs(amps) ** 2).sum(axis=0))
-        if norms.min() < 1e-6:
-            continue
-        ops = np.zeros((n_kraus, dim, dim), dtype=complex)
-        ops[np.arange(n_kraus)[:, None], rows, np.arange(dim)] = amps / norms
-        return validate_channel(ops)
+        rows, z = _draw(rng, tile)
+        _, amps, counts = _channel_draws([(rows, z)], tile.shape[1])
+        if _column_norms(amps, counts).min() >= NORM_FLOOR:
+            return rows, np.concatenate([z, rng.standard_normal(tail)])
     raise InfeasiblePattern(f"no valid amplitude pattern after {MAX_TRIES} tries")
+
+
+def _channel_draws(draws, dim: int) -> tuple:
+    """Concatenated supports, complex amplitudes and Kraus counts of ``(rows, normals)`` draws."""
+    counts = [len(rows) for rows, _ in draws]
+    re = np.concatenate([z[:n * dim] for (_, z), n in zip(draws, counts)])
+    im = np.concatenate([z[n * dim:2 * n * dim] for (_, z), n in zip(draws, counts)])
+    return np.concatenate([rows for rows, _ in draws]), (re + 1j * im).reshape(-1, dim), counts
+
+
+def _column_norms(amps: np.ndarray, counts) -> np.ndarray:
+    """``(len(counts), dim)`` column norms of each channel's next ``counts[j]`` amplitude rows."""
+    return np.sqrt(_padded(np.abs(amps) ** 2, counts).sum(axis=1))
+
+
+def _incoherent_ops(rows: np.ndarray, amps: np.ndarray, counts, dim: int) -> np.ndarray:
+    """Kraus stack of the incoherent channels drawn as ``(rows, amps)``.
+
+    Channel ``j`` owns the next ``counts[j]`` rows of both arrays: its
+    operator ``n`` maps column ``c`` to row ``rows[n, c]`` with amplitude
+    ``amps[n, c]`` over the norm of column ``c`` across the channel's
+    operators.  As in ``validate_channel``, non-finite entries raise
+    ``NotFinite`` and a completeness residual beyond ``COMPLETENESS_ATOL``
+    raises ``IncompleteChannel``.
+    """
+    ops = np.zeros((len(amps), dim, dim), dtype=complex)
+    norms = np.repeat(_column_norms(amps, counts), counts, axis=0)
+    ops[np.arange(len(amps))[:, None], rows, np.arange(dim)] = amps / norms
+    _require_finite(ops)
+    _require_complete(ops, counts)
+    return ops
 
 
 def random_channel(dim: int, n_kraus: int, rng) -> KrausChannel:
@@ -233,27 +298,47 @@ def monotonicity_sweep(
 ) -> list:
     """Seeded sweep of monotonicity checks over random incoherent channels, in chunks.
 
-    Sample ``i`` draws everything from its own child generator: the channel,
-    a Ginibre state and (for the ``"k"`` measure) a random observable.
-    Returns one ``MonotonicityVerdict`` per sample, in sample order, each
-    equal to ``monotonicity_check`` of that sample.
+    Sample ``i`` draws everything from its own child generator: the Kraus
+    count (unless ``n_kraus`` is given), the channel's supports and amplitudes,
+    a Ginibre factor and (for the ``"k"`` measure) a random observable, in the
+    order of ``random_incoherent_channel``, ``ginibre_mixed`` and
+    ``random_hermitian``.  The channels, states and observables are then
+    built, validated and evaluated once per chunk.  Returns one
+    ``MonotonicityVerdict`` per sample, in sample order, each equal to
+    ``monotonicity_check`` of that sample.
     """
-    samples, dim = _index(samples), _index(dim)
+    samples, dim = _index(samples), _dim(dim)
     if samples < 0:
         raise NegativeCount(f"sample count {samples} is negative")
-    if dim < 1:
-        raise DimensionMismatch(f"dimension {dim} is not positive")
-    # the outcome stack, up to max_kraus * dim^2 entries per sample, is the largest
-    chunk = max(1, CHUNK_ENTRIES // ((n_kraus or dim + 1) * dim * dim))
+    kinds = range(1, dim + 2) if n_kraus is None else [_index(n_kraus)]
+    if kinds[0] < 1:
+        raise InfeasiblePattern("need at least one Kraus operator")
+    tiles = {nk: np.tile(np.arange(dim), (nk, 1)) for nk in kinds}
+    factors = 2 if measure == "k" else 1  # the Ginibre factor, then the observable's
+    tail = factors * 2 * dim * dim
     verdicts = []
-    for start in range(0, samples, chunk):
-        ops, states, ks = [], [], []
-        for i in range(start, min(start + chunk, samples)):
-            rng = child_rng(seed, i)
-            nk = n_kraus if n_kraus is not None else int(rng.integers(1, dim + 2))
-            ops.append(random_incoherent_channel(dim, nk, rng).operators)
-            states.append(_ginibre(dim, rng))
-            if measure == "k":
-                ks.append(validate_observable(random_hermitian(dim, rng)).mat)
-        verdicts += _verdicts(ops, *_validated(np.stack(states)), measure, np.array(ks))
+    # the outcome stack, up to max_kraus * dim^2 entries per sample, is the largest
+    for chunk in _chunks(samples, max(tiles) * dim * dim):
+        draws = [_sample_draws(seed, i, dim, n_kraus, tiles, tail, _draw) for i in chunk]
+        rows, amps, counts = _channel_draws(draws, dim)
+        short = np.flatnonzero(_column_norms(amps, counts).min(axis=1) < NORM_FLOOR).tolist()
+        if short:  # random_incoherent_channel redraws these: replay them its way
+            for j in short:
+                draws[j] = _sample_draws(seed, chunk[j], dim, n_kraus, tiles, tail, _kept_draw)
+            rows, amps, counts = _channel_draws(draws, dim)
+        tails = np.stack([z[-tail:] for _, z in draws]).reshape(len(chunk), factors, 2, dim, dim)
+        g = tails[:, :, 0] + 1j * tails[:, :, 1]
+        states = _validated(_normalized_gram(g[:, 0]))
+        ks = _hermitian(_hermitian_part(g[:, 1])) if factors == 2 else None
+        ops = _incoherent_ops(rows, amps, counts, dim)
+        verdicts += _verdicts(ops, counts, *states, measure, ks)
     return verdicts
+
+
+def _sample_draws(seed: int, i: int, dim: int, n_kraus, tiles: dict, tail: int, draw) -> tuple:
+    """Sweep sample ``i``'s ``draw(rng, tile, tail)`` from ``rng = child_rng(seed, i)``, after its
+    Kraus count unless ``n_kraus`` is given; the ``tail`` normals hold the Ginibre factor and,
+    for ``"k"``, the observable's complex normal, real parts before imaginary parts."""
+    rng = child_rng(seed, i)
+    nk = n_kraus if n_kraus is not None else int(rng.integers(1, dim + 2))
+    return draw(rng, tiles[nk], tail)

@@ -200,6 +200,7 @@ def generalized_cnot(dim: int) -> KrausChannel:
     incoherent product inputs and maps a coherent first register onto a
     maximally correlated joint state.
     """
+    dim = _index(dim)
     if dim < 2:
         raise DimensionMismatch("subsystem dimension must be at least 2")
     u = np.zeros((dim * dim, dim * dim), dtype=complex)

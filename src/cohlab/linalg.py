@@ -28,6 +28,13 @@ RANK_TOL = 1e-10
 CHUNK_ENTRIES = 8192  # matrix entries in the largest stack a sweep builds; bounds its memory
 
 
+def _chunks(n: int, entries_per_item: int):
+    """Consecutive ranges covering ``range(n)``; a chunk holds as many items as fit into
+    ``CHUNK_ENTRIES`` matrix entries at ``entries_per_item`` each, and at least one."""
+    size = max(1, CHUNK_ENTRIES // entries_per_item)
+    return (range(start, min(start + size, n)) for start in range(0, n, size))
+
+
 def _frozen(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
@@ -141,6 +148,14 @@ def _index(k, stop: int | None = None) -> int:
     return k
 
 
+def _dim(dim) -> int:
+    """``dim`` as a positive Python int by the ``_index`` rule, else ``DimensionMismatch``."""
+    dim = _index(dim)
+    if dim < 1:
+        raise DimensionMismatch(f"dimension {dim} is not positive")
+    return dim
+
+
 def _subsystem_dims(rho: DensityMatrix, dims, n: int | None = None) -> tuple:
     """``dims`` as positive integers, ``n`` of them if given, whose product is ``rho.dim``."""
     try:
@@ -238,4 +253,4 @@ def basis_state(dim: int, k: int) -> DensityMatrix:
 
 def maximally_coherent(dim: int) -> DensityMatrix:
     """Uniform-superposition pure state, entries all 1/dim."""
-    return pure_state(np.ones(dim))
+    return pure_state(np.ones(_dim(dim)))

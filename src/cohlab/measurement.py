@@ -163,6 +163,9 @@ def estimate_measures(
 
     diag = rho.diag().copy()
     if diag_shots is not None:
+        diag_shots = _index(diag_shots)
+        if diag_shots < 1:
+            raise DimensionMismatch("need at least one diagonal shot")
         counts = child_rng(seed, 0).multinomial(diag_shots, diag / diag.sum())
         diag = counts / diag_shots
 

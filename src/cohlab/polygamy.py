@@ -17,9 +17,9 @@ import numpy as np
 
 from .coherence import _c_skew_of, c_skew
 from .errors import BadPartition, DimensionMismatch, NegativeCount, NotPure
-from .linalg import CHUNK_ENTRIES, RANK_TOL, DensityMatrix, _clean_spectrum, _index
+from .linalg import RANK_TOL, DensityMatrix, _chunks, _clean_spectrum, _index
 from .linalg import _subsystem_dims, _validated, partial_trace, validate_density
-from .rand import _ginibre, child_rng
+from .rand import _normalized_gram, child_rng
 
 PURITY_TOL = 1e-8
 GAP_TOL = 1e-9
@@ -232,12 +232,11 @@ def sweep_polygamy(dims, n_samples: int, seed: int) -> list:
     if n_samples < 0:
         raise NegativeCount(f"sample count {n_samples} is negative")
     dim = da * db
-    chunk = max(1, CHUNK_ENTRIES // (dim * dim))
     records = []
-    for start in range(0, n_samples, chunk):
-        samples = range(start, min(start + chunk, n_samples))
-        stack = np.stack([_ginibre(dim, child_rng(seed, i)) for i in samples])
-        records += _records(*_validated(stack), (da, db))
+    for chunk in _chunks(n_samples, dim * dim):
+        # real then imaginary parts in one call, the values of ginibre_mixed's two calls
+        z = np.stack([child_rng(seed, i).standard_normal((2, dim, dim)) for i in chunk])
+        records += _records(*_validated(_normalized_gram(z[:, 0] + 1j * z[:, 1])), (da, db))
     return records
 
 

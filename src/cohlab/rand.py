@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import DensityMatrix, pure_state, validate_density
+from .linalg import DensityMatrix, _dim, pure_state, validate_density
 
 
 def as_rng(seed_or_rng) -> np.random.Generator:
@@ -28,25 +28,31 @@ def _complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
-def _ginibre(dim: int, rng) -> np.ndarray:
-    """G G^dag / Tr(G G^dag) for a complex normal G, not yet validated."""
-    g = _complex_normal(as_rng(rng), (dim, dim))
-    m = g @ g.conj().T
-    return m / m.trace().real
+def _normalized_gram(g: np.ndarray) -> np.ndarray:
+    """G G^dag / Tr(G G^dag) of a complex matrix or of each in a stack, not yet validated."""
+    m = g @ g.conj().swapaxes(-1, -2)
+    return m / m.trace(axis1=-2, axis2=-1).real[..., None, None]
+
+
+def _hermitian_part(a: np.ndarray) -> np.ndarray:
+    """(A + A^dag)/2 of a matrix or of each in a stack."""
+    return (a + a.conj().swapaxes(-1, -2)) / 2.0
 
 
 def ginibre_mixed(dim: int, rng) -> DensityMatrix:
     """Full-support random mixed state G G^dag / Tr(G G^dag)."""
-    return validate_density(_ginibre(dim, rng))
+    dim = _dim(dim)
+    return validate_density(_normalized_gram(_complex_normal(as_rng(rng), (dim, dim))))
 
 
 def haar_pure(dim: int, rng) -> DensityMatrix:
     """Haar-random pure state (normalized complex normal vector)."""
-    return pure_state(_complex_normal(as_rng(rng), dim))
+    return pure_state(_complex_normal(as_rng(rng), _dim(dim)))
 
 
 def random_unitary(dim: int, rng) -> np.ndarray:
     """Haar-distributed unitary via phase-fixed QR of a Ginibre matrix."""
+    dim = _dim(dim)
     q, r = np.linalg.qr(_complex_normal(as_rng(rng), (dim, dim)))
     phases = np.diagonal(r).copy()
     phases /= np.abs(phases)
@@ -55,5 +61,6 @@ def random_unitary(dim: int, rng) -> np.ndarray:
 
 def random_hermitian(dim: int, rng) -> np.ndarray:
     """Hermitian part of a complex normal matrix."""
-    a = _complex_normal(as_rng(rng), (dim, dim))
-    return (a + a.conj().T) / 2.0
+    dim = _dim(dim)
+    return _hermitian_part(_complex_normal(as_rng(rng), (dim, dim)))
+

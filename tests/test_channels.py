@@ -22,7 +22,8 @@ from cohlab import (
     validate_channel,
     validate_density,
 )
-from cohlab.channels import COMPLETENESS_ATOL, KrausChannel, completeness_residual
+from cohlab import channels
+from cohlab.channels import COMPLETENESS_ATOL, MAX_TRIES, KrausChannel, completeness_residual
 from cohlab.coherence import validate_observable
 from cohlab.errors import DimensionMismatch, IncompleteChannel, InfeasiblePattern, NegativeCount
 from cohlab.rand import random_hermitian
@@ -253,6 +254,32 @@ def test_sweep_matches_per_sample_reference(measure, dim, samples, n_kraus):
         assert monotonicity_sweep(measure, samples, dim, seed, n_kraus) == want
 
 
+# floors at which a column falls short in a good share of the draws, while twenty
+# short draws in a row stay below 1e-5 (one operator) or 1e-9 (two operators)
+@pytest.mark.parametrize("n_kraus,floor", [(None, 0.6), (2, 1.0)])
+@pytest.mark.parametrize("measure", ["skew", "k"])
+def test_sweep_replays_retried_draws_as_the_per_sample_sampler(measure, n_kraus, floor,
+                                                                monkeypatch):
+    plain = {dim: monotonicity_sweep(measure, 100, dim, 5, n_kraus) for dim in (2, 3, 4)}
+    monkeypatch.setattr(channels, "NORM_FLOOR", floor)
+    for dim, before in plain.items():
+        got = monotonicity_sweep(measure, 100, dim, 5, n_kraus)
+        assert got == monotonicity_sweep_reference(measure, 100, dim, 5, n_kraus)
+        assert sum(g != b for g, b in zip(got, before)) >= 5  # samples that redrew
+
+
+def test_a_floor_no_draw_meets_raises_after_max_tries(monkeypatch):
+    draws = []
+    draw = channels._draw
+    monkeypatch.setattr(channels, "_draw", lambda *args: draws.append(1) or draw(*args))
+    monkeypatch.setattr(channels, "NORM_FLOOR", np.inf)
+    with pytest.raises(InfeasiblePattern):
+        random_incoherent_channel(3, 2, 0)
+    assert len(draws) == MAX_TRIES
+    with pytest.raises(InfeasiblePattern):
+        monotonicity_sweep("skew", 5, 3, seed=0)
+
+
 @pytest.mark.parametrize("dim", [0, -1])
 def test_sweep_rejects_non_positive_dim(dim):
     with pytest.raises(DimensionMismatch):
@@ -324,8 +351,12 @@ def test_random_channel_without_operators_raises_before_any_warning(n_kraus):
     (lambda: monotonicity_sweep("skew", 2.5, 3, seed=0), DimensionMismatch),
     (lambda: monotonicity_sweep("skew", 2, 3.0, seed=0), DimensionMismatch),
     (lambda: monotonicity_sweep("skew", -1, 3, seed=0), NegativeCount),
+    (lambda: monotonicity_sweep("skew", 5, 3, seed=0, n_kraus=0), InfeasiblePattern),
+    (lambda: monotonicity_sweep("skew", 5, 3, seed=0, n_kraus=2.0), DimensionMismatch),
+    (lambda: random_incoherent_channel(0, 2, 0), DimensionMismatch),
 ], ids=["kraus-float", "dim-float", "incoherent-kraus-float", "incoherent-kraus-negative",
-        "sweep-samples-float", "sweep-dim-float", "sweep-samples-negative"])
+        "sweep-samples-float", "sweep-dim-float", "sweep-samples-negative", "sweep-kraus-zero",
+        "sweep-kraus-float", "incoherent-dim-zero"])
 def test_counts_and_dims_follow_the_integer_rule(call, error):
     with pytest.raises(error):
         call()

@@ -437,6 +437,14 @@ def test_sweep_csv_bytes_are_pinned(tmp_path):
     assert digest == "8a89a02415b2c711e50faf8b18691e8c7b59ccb93e10a94721b6ad3a47cb051f"
 
 
+def monotonicity_digest(tmp_path, measure, dim, samples):
+    out = tmp_path / "monotonicity.csv"
+    code, _ = run_cli(["monotonicity", "--measure", measure, "--dim", str(dim), "--samples",
+                       str(samples), "--seed", "9", "--out", str(out)])
+    assert code == 0
+    return hashlib.sha256(out.read_bytes()).hexdigest()
+
+
 @pytest.mark.parametrize("measure,dim,digest", [
     ("skew", 4, "e8784ce48988ab135ac7310b2ae924aa1eca95f44cb609ad2f4ca34cfeca0d9a"),
     ("k", 3, "dd80be78db2d2942baae454fe40d8749e731cb9a62621a0c922afe0e6a43a5ca"),
@@ -444,11 +452,14 @@ def test_sweep_csv_bytes_are_pinned(tmp_path):
 def test_monotonicity_csv_bytes_are_pinned(tmp_path, measure, dim, digest):
     # SHA-256 of this CSV as the per-operator channel kernels wrote it; the
     # stacked Kraus kernels must reproduce it byte for byte
-    out = tmp_path / "monotonicity.csv"
-    code, _ = run_cli(["monotonicity", "--measure", measure, "--dim", str(dim), "--samples", "80",
-                       "--seed", "9", "--out", str(out)])
-    assert code == 0
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+    assert monotonicity_digest(tmp_path, measure, dim, 80) == digest
+
+
+def test_multi_chunk_monotonicity_csv_bytes_are_pinned(tmp_path):
+    # five chunks, the last one partial; SHA-256 of the CSV as the per-sample
+    # channel and state construction wrote it
+    digest = "694a75ec53d15b69f9464623ae2d693a08edd75c7583ed67e8b016444a5d20ca"
+    assert monotonicity_digest(tmp_path, "skew", 5, 250) == digest
 
 
 @pytest.mark.parametrize("command,digest", [

@@ -9,6 +9,7 @@ from hypothesis.extra.numpy import arrays
 from cohlab import (
     basis_state,
     child_rng,
+    generalized_cnot,
     ginibre_mixed,
     haar_pure,
     maximally_coherent,
@@ -31,6 +32,7 @@ from cohlab.errors import (
     NotUnitTrace,
 )
 from cohlab.fixtures import COUNTEREXAMPLE_RHO
+from cohlab.linalg import CHUNK_ENTRIES, _chunks
 
 from oracles import psd_sqrt
 
@@ -245,8 +247,17 @@ def test_partial_trace_dimension_check():
     lambda rho: qfi_projector(rho, 1.5),
     lambda rho: skew_info(rho, True),
     lambda rho: qfi_projector(rho, True),
+    lambda rho: maximally_coherent(2.5),
+    lambda rho: maximally_coherent(-1),
+    lambda rho: generalized_cnot(2.5),
+    lambda rho: ginibre_mixed(2.5, 1),
+    lambda rho: ginibre_mixed(0, 1),
+    lambda rho: haar_pure(2.5, 1),
+    lambda rho: random_unitary(2.5, 1),
 ], ids=["basis-past-end", "basis-negative", "basis-float", "keep-string", "keep-float",
-        "keep-float-list", "skew-float", "qfi-float", "skew-bool", "qfi-bool"])
+        "keep-float-list", "skew-float", "qfi-float", "skew-bool", "qfi-bool",
+        "max-coherent-float", "max-coherent-negative", "cnot-float", "ginibre-float",
+        "ginibre-zero", "haar-float", "unitary-float"])
 def test_index_arguments_are_integers_in_range(call):
     # numpy once raised IndexError/TypeError here, or read -1 as the last index and 0.5 as 0
     with pytest.raises(DimensionMismatch):
@@ -259,6 +270,16 @@ def test_index_arguments_accept_numpy_integers():
                           partial_trace(rho, [2, 2], [1]).mat)
     assert skew_info(rho, np.int32(2)) == skew_info(rho, 2)
     assert np.array_equal(basis_state(np.int64(3), np.int64(2)).mat, basis_state(3, 2).mat)
+
+
+@pytest.mark.parametrize("n,entries", [
+    (0, 9), (1, 9), (10, CHUNK_ENTRIES // 3), (10, 2 * CHUNK_ENTRIES), (1000, 81), (910, 9),
+])
+def test_chunks_cover_the_range_in_order_within_the_entry_budget(n, entries):
+    chunks = list(_chunks(n, entries))
+    assert [i for c in chunks for i in c] == list(range(n))
+    size = max(1, CHUNK_ENTRIES // entries)
+    assert all(len(c) == size for c in chunks[:-1]) and all(0 < len(c) <= size for c in chunks)
 
 
 def test_random_state_sweep_valid():

@@ -191,8 +191,10 @@ def test_cost_accounting():
     lambda rho: exact_trace_powers(rho, 1.5),
     lambda rho: exact_trace_powers(rho, 0),
     lambda rho: estimate_measures(rho, 2.5, 0),
+    lambda rho: estimate_measures(rho, 100, 0, diag_shots=0),
+    lambda rho: estimate_measures(rho, 100, 0, diag_shots=2.5),
 ], ids=["shots-float", "power-float", "shots-zero", "max-n-float", "max-n-zero",
-        "estimate-shots-float"])
+        "estimate-shots-float", "diag-shots-zero", "diag-shots-float"])
 def test_counts_are_positive_integers(call):
     with pytest.raises(DimensionMismatch):
         call(ginibre_mixed(3, 1))
