@@ -13,8 +13,8 @@ from .errors import (
     InfeasiblePattern,
     NegativeCount,
 )
-from .linalg import DensityMatrix, _chunks, _dim, _frozen, _hermitian, _index, _require_finite
-from .linalg import _validated, validate_density
+from .linalg import DensityMatrix, _chunks, _dim, _frozen, _hermitian, _index, _numeric
+from .linalg import _require_finite, _validated, validate_density
 from .rand import _hermitian_part, _normalized_gram, as_rng, child_rng
 
 COMPLETENESS_ATOL = 1e-9
@@ -48,46 +48,32 @@ class SelectiveOutcome:
 
 def completeness_residual(ops) -> float:
     """Max-norm distance of sum_n M_n^dag M_n from the identity."""
-    ops = np.asarray(ops, dtype=complex)
-    return float(_residuals(ops, [len(ops)])[0])
+    return float(_residuals(np.asarray(ops, dtype=complex)))
 
 
-def _residuals(ops: np.ndarray, counts) -> np.ndarray:
-    """``completeness_residual`` of each channel; channel ``j`` owns the next ``counts[j]``
-    operators."""
-    gram = _padded(ops.conj().swapaxes(-1, -2) @ ops, counts).sum(axis=1)
+def _residuals(ops: np.ndarray) -> np.ndarray:
+    """``completeness_residual`` of the Kraus stack ``ops``, or of each in a stack of them."""
+    gram = (ops.conj().swapaxes(-1, -2) @ ops).sum(axis=-3)
     return np.abs(gram - np.eye(ops.shape[-1])).max(axis=(-2, -1))
 
 
-def _require_complete(ops: np.ndarray, counts):
-    res = float(_residuals(ops, counts).max())
+def _require_complete(ops: np.ndarray):
+    res = float(_residuals(ops).max())
     if res > COMPLETENESS_ATOL:
         raise IncompleteChannel(f"completeness residual {res:.3e} exceeds {COMPLETENESS_ATOL:.1e}")
 
 
-def _padded(x: np.ndarray, counts) -> np.ndarray:
-    """``(len(counts), max(counts), ...)`` stack: group ``j`` holds the next ``counts[j]`` rows of
-    ``x``, then zeros.  Summing over axis 1 adds the zeros last, which keeps each group's bits."""
-    counts = np.asarray(counts)
-    out = np.zeros((len(counts), counts.max()) + x.shape[1:], dtype=x.dtype)
-    out[np.arange(counts.max()) < counts[:, None]] = x
-    return out
-
-
 def validate_channel(ops) -> KrausChannel:
-    """Copy ``ops`` into one frozen stack; operators that are not 2-D of one shape raise
-    ``DimensionMismatch``, an empty set or one incomplete beyond ``COMPLETENESS_ATOL``
+    """Copy ``ops`` into one frozen stack; operators that are not numeric and 2-D of one shape
+    raise ``DimensionMismatch``, an empty set or one incomplete beyond ``COMPLETENESS_ATOL``
     ``IncompleteChannel``."""
-    try:
-        ops = np.array(ops, dtype=complex)
-    except ValueError as exc:  # ragged shapes
-        raise DimensionMismatch(f"Kraus operators must share one shape: {exc}") from exc
+    ops = _numeric(ops, complex, "expected numeric Kraus operators of one shape").copy()
     if ops.shape[:1] == (0,):
         raise IncompleteChannel("channel needs at least one Kraus operator")
     if ops.ndim != 3 or 0 in ops.shape:
         raise DimensionMismatch(f"expected a stack of 2-D Kraus operators, got shape {ops.shape}")
     _require_finite(ops)
-    _require_complete(ops, [len(ops)])
+    _require_complete(ops)
     return KrausChannel(_frozen(ops))
 
 
@@ -100,16 +86,16 @@ def is_incoherent(ch: KrausChannel) -> bool:
     return not np.any((np.abs(ch.operators) > SUPPORT_TOL).sum(axis=1) > 1)
 
 
-def _terms(ch: KrausChannel, rho: DensityMatrix) -> np.ndarray:
-    """Stack of the unnormalized outcomes M_n rho M_n^dag."""
-    if ch.dim_in != rho.dim:
-        raise DimensionMismatch(f"channel input dim {ch.dim_in} != state dim {rho.dim}")
-    return ch.operators @ rho.mat @ ch.operators.conj().swapaxes(-1, -2)
+def _terms(ops: np.ndarray, mat: np.ndarray) -> np.ndarray:
+    """Stack of the unnormalized outcomes M_n rho M_n^dag; broadcasts over stacks of both."""
+    if ops.shape[-1] != mat.shape[-1]:
+        raise DimensionMismatch(f"channel input dim {ops.shape[-1]} != state dim {mat.shape[-1]}")
+    return ops @ mat @ ops.conj().swapaxes(-1, -2)
 
 
 def apply(ch: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
     """Deterministic channel action sum_n M_n rho M_n^dag."""
-    return validate_density(_terms(ch, rho).sum(axis=0))
+    return validate_density(_terms(ch.operators, rho.mat).sum(axis=0))
 
 
 def apply_selective(ch: KrausChannel, rho: DensityMatrix) -> list:
@@ -118,7 +104,7 @@ def apply_selective(ch: KrausChannel, rho: DensityMatrix) -> list:
     Outcomes with probability below 1e-12 are dropped (the normalized state
     is undefined at zero probability).
     """
-    terms = _terms(ch, rho)
+    terms = _terms(ch.operators, rho.mat)
     probs = terms.trace(axis1=1, axis2=2).real.tolist()
     return [SelectiveOutcome(p, validate_density(t / p))
             for p, t in zip(probs, terms) if p >= OUTCOME_TOL]
@@ -146,8 +132,6 @@ def monotonicity_check(
     runs for any channel and records the verdict; incoherence of the channel
     is the caller's claim to assert.  Both verdicts allow ``MONOTONE_TOL``.
     """
-    if ch.dim_in != rho.dim:
-        raise DimensionMismatch(f"channel input dim {ch.dim_in} != state dim {rho.dim}")
     ks = None
     if measure == "k":
         if observable is None:
@@ -156,16 +140,19 @@ def monotonicity_check(
             raise DimensionMismatch(f"observable dim {observable.dim} != state dim {rho.dim}")
         ks = observable.mat[None]
     state = (rho.mat[None], rho.eigenvalues[None], rho.eigenvectors[None])
-    return _verdicts(ch.operators, [len(ch.operators)], *state, measure, ks)[0]
+    return _verdicts(ch.operators[None], *state, measure, ks)[0]
 
 
-def _verdicts(ops, counts, mat, w, v, measure: str, ks) -> list:
-    """Verdict of each validated state ``(mat[j], w[j], v[j])`` under its channel, the next
-    ``counts[j]`` operators of the Kraus stack ``ops``.
+def _verdicts(ops, mat, w, v, measure: str, ks) -> list:
+    """Verdict of each validated state ``(mat[j], w[j], v[j])`` under its channel ``ops[j]``.
 
-    ``ks[j]`` is the observable of state ``j`` for the ``"k"`` measure.  The
-    outcomes of all states are validated as one stack, and so are the channel
-    outputs; the average over outcomes is a Python sum in outcome order.
+    ``ops`` is one ``(m, K, d, d)`` stack; a channel with fewer than ``K``
+    operators ends in zero operators, whose outcomes fall below
+    ``OUTCOME_TOL`` and whose terms add zeros after the real ones, so each
+    verdict keeps the bits of its channel alone.  ``ks[j]`` is the observable
+    of state ``j`` for the ``"k"`` measure.  The outcomes of all states are
+    validated as one stack, and so are the channel outputs; the average over
+    outcomes is a Python sum in outcome order.
     """
     if measure == "skew":
         coherence = lambda mat, w, v, owners: _c_skew_of(w, v)
@@ -173,20 +160,17 @@ def _verdicts(ops, counts, mat, w, v, measure: str, ks) -> list:
         coherence = lambda mat, w, v, owners: _k_of(mat, w, v, ks[owners])
     else:
         raise DimensionMismatch(f"unknown measure {measure!r}")
-    owner = np.repeat(np.arange(len(counts)), counts)
-    terms = ops @ mat[owner] @ ops.conj().swapaxes(-1, -2)
+    terms = _terms(ops, mat[:, None])
     probs = terms.trace(axis1=-2, axis2=-1).real
     kept = probs >= OUTCOME_TOL
     outcomes = _validated(terms[kept] / probs[kept, None, None])
-    # np.add.reduceat would sum in another order than a lone sample's sum(axis=0)
-    after = _validated(_padded(terms, counts).sum(axis=1))
-    samples = np.arange(len(counts))
+    after = _validated(terms.sum(axis=1))
+    samples = np.arange(len(ops))
     c_before = coherence(mat, w, v, samples).tolist()
     c_after = coherence(*after, samples).tolist()
-    kept_owner = owner[kept]
-    weighted = (probs[kept] * coherence(*outcomes, kept_owner)).tolist()
-    ends = np.cumsum(np.bincount(kept_owner, minlength=len(samples))).tolist()
-    c_avg = [float(sum(weighted[a:b])) for a, b in zip([0] + ends, ends)]
+    weighted = np.zeros(probs.shape)  # p C of each kept outcome, 0.0 (adds nothing) elsewhere
+    weighted[kept] = probs[kept] * coherence(*outcomes, np.nonzero(kept)[0])
+    c_avg = [sum(row) for row in weighted.tolist()]
     return [
         MonotonicityVerdict(b, a, f, strong_ok=a <= b + MONOTONE_TOL, weak_ok=f <= b + MONOTONE_TOL)
         for b, a, f in zip(c_before, c_avg, c_after)
@@ -207,8 +191,7 @@ def random_incoherent_channel(dim: int, n_kraus: int, rng) -> KrausChannel:
     if n_kraus < 1:
         raise InfeasiblePattern("need at least one Kraus operator")
     draw = _kept_draw(as_rng(rng), np.tile(np.arange(dim), (n_kraus, 1)))
-    rows, amps, counts = _channel_draws([draw], dim)
-    return KrausChannel(_frozen(_incoherent_ops(rows, amps, counts, dim)))
+    return KrausChannel(_frozen(_incoherent_ops(*_channel_draws([draw], dim))[0]))
 
 
 def _draw(rng, tile: np.ndarray, tail: int = 0) -> tuple:
@@ -227,40 +210,47 @@ def _kept_draw(rng, tile: np.ndarray, tail: int = 0) -> tuple:
     with ``tail`` normals drawn after it."""
     for _ in range(MAX_TRIES):
         rows, z = _draw(rng, tile)
-        _, amps, counts = _channel_draws([(rows, z)], tile.shape[1])
-        if _column_norms(amps, counts).min() >= NORM_FLOOR:
+        _, amps = _channel_draws([(rows, z)], tile.shape[1])
+        if _column_norms(amps).min() >= NORM_FLOOR:
             return rows, np.concatenate([z, rng.standard_normal(tail)])
     raise InfeasiblePattern(f"no valid amplitude pattern after {MAX_TRIES} tries")
 
 
 def _channel_draws(draws, dim: int) -> tuple:
-    """Concatenated supports, complex amplitudes and Kraus counts of ``(rows, normals)`` draws."""
-    counts = [len(rows) for rows, _ in draws]
+    """``(m, K, dim)`` supports and complex amplitudes of ``m`` ``(rows, normals)`` draws, ``K``
+    the largest Kraus count; a channel with fewer operators ends in zero rows of both."""
+    counts = [len(r) for r, _ in draws]
     re = np.concatenate([z[:n * dim] for (_, z), n in zip(draws, counts)])
     im = np.concatenate([z[n * dim:2 * n * dim] for (_, z), n in zip(draws, counts)])
-    return np.concatenate([rows for rows, _ in draws]), (re + 1j * im).reshape(-1, dim), counts
+    filled = np.arange(max(counts)) < np.array(counts)[:, None]  # slot n of channel j is drawn
+    rows = np.zeros(filled.shape + (dim,), dtype=int)
+    amps = np.zeros(filled.shape + (dim,), dtype=complex)
+    rows[filled] = np.concatenate([r for r, _ in draws])
+    amps[filled] = (re + 1j * im).reshape(-1, dim)
+    return rows, amps
 
 
-def _column_norms(amps: np.ndarray, counts) -> np.ndarray:
-    """``(len(counts), dim)`` column norms of each channel's next ``counts[j]`` amplitude rows."""
-    return np.sqrt(_padded(np.abs(amps) ** 2, counts).sum(axis=1))
+def _column_norms(amps: np.ndarray) -> np.ndarray:
+    """``(m, dim)`` column norms of each channel's ``(K, dim)`` amplitudes."""
+    return np.sqrt((np.abs(amps) ** 2).sum(axis=-2))
 
 
-def _incoherent_ops(rows: np.ndarray, amps: np.ndarray, counts, dim: int) -> np.ndarray:
-    """Kraus stack of the incoherent channels drawn as ``(rows, amps)``.
+def _incoherent_ops(rows: np.ndarray, amps: np.ndarray) -> np.ndarray:
+    """``(m, K, dim, dim)`` Kraus stack of the incoherent channels drawn as ``(rows, amps)``.
 
-    Channel ``j`` owns the next ``counts[j]`` rows of both arrays: its
-    operator ``n`` maps column ``c`` to row ``rows[n, c]`` with amplitude
-    ``amps[n, c]`` over the norm of column ``c`` across the channel's
-    operators.  As in ``validate_channel``, non-finite entries raise
+    Operator ``n`` of channel ``j`` maps column ``c`` to row ``rows[j, n, c]``
+    with amplitude ``amps[j, n, c]`` over the norm of column ``c`` across the
+    channel's operators; zero amplitudes give the zero operators that pad a
+    channel to ``K``.  As in ``validate_channel``, non-finite entries raise
     ``NotFinite`` and a completeness residual beyond ``COMPLETENESS_ATOL``
     raises ``IncompleteChannel``.
     """
-    ops = np.zeros((len(amps), dim, dim), dtype=complex)
-    norms = np.repeat(_column_norms(amps, counts), counts, axis=0)
-    ops[np.arange(len(amps))[:, None], rows, np.arange(dim)] = amps / norms
+    m, k, dim = amps.shape
+    ops = np.zeros((m, k, dim, dim), dtype=complex)
+    norms = _column_norms(amps)[:, None]
+    ops[np.arange(m)[:, None, None], np.arange(k)[:, None], rows, np.arange(dim)] = amps / norms
     _require_finite(ops)
-    _require_complete(ops, counts)
+    _require_complete(ops)
     return ops
 
 
@@ -269,7 +259,7 @@ def random_channel(dim: int, n_kraus: int, rng) -> KrausChannel:
 
     Ginibre blocks normalized jointly by (sum_n A_n^dag A_n)^(-1/2).
     """
-    dim, n_kraus = _index(dim), _index(n_kraus)
+    dim, n_kraus = _dim(dim), _index(n_kraus)
     if n_kraus < 1:  # before normalize_kraus divides by the empty sum
         raise IncompleteChannel("channel needs at least one Kraus operator")
     # block n draws its real then its imaginary part, as _complex_normal does
@@ -303,7 +293,9 @@ def monotonicity_sweep(
     a Ginibre factor and (for the ``"k"`` measure) a random observable, in the
     order of ``random_incoherent_channel``, ``ginibre_mixed`` and
     ``random_hermitian``.  The channels, states and observables are then
-    built, validated and evaluated once per chunk.  Returns one
+    built, validated and evaluated once per chunk; the chunk's channels form
+    one ``(m, K, d, d)`` Kraus stack, ``K`` its largest Kraus count, in which
+    shorter channels end in zero operators.  Returns one
     ``MonotonicityVerdict`` per sample, in sample order, each equal to
     ``monotonicity_check`` of that sample.
     """
@@ -320,18 +312,17 @@ def monotonicity_sweep(
     # the outcome stack, up to max_kraus * dim^2 entries per sample, is the largest
     for chunk in _chunks(samples, max(tiles) * dim * dim):
         draws = [_sample_draws(seed, i, dim, n_kraus, tiles, tail, _draw) for i in chunk]
-        rows, amps, counts = _channel_draws(draws, dim)
-        short = np.flatnonzero(_column_norms(amps, counts).min(axis=1) < NORM_FLOOR).tolist()
+        rows, amps = _channel_draws(draws, dim)
+        short = np.flatnonzero(_column_norms(amps).min(axis=1) < NORM_FLOOR).tolist()
         if short:  # random_incoherent_channel redraws these: replay them its way
             for j in short:
                 draws[j] = _sample_draws(seed, chunk[j], dim, n_kraus, tiles, tail, _kept_draw)
-            rows, amps, counts = _channel_draws(draws, dim)
+            rows, amps = _channel_draws(draws, dim)
         tails = np.stack([z[-tail:] for _, z in draws]).reshape(len(chunk), factors, 2, dim, dim)
         g = tails[:, :, 0] + 1j * tails[:, :, 1]
         states = _validated(_normalized_gram(g[:, 0]))
         ks = _hermitian(_hermitian_part(g[:, 1])) if factors == 2 else None
-        ops = _incoherent_ops(rows, amps, counts, dim)
-        verdicts += _verdicts(ops, counts, *states, measure, ks)
+        verdicts += _verdicts(_incoherent_ops(rows, amps), *states, measure, ks)
     return verdicts
 
 

@@ -27,6 +27,7 @@ from .measurement import estimate_measures, true_measures
 from .metrology import metrology_report
 from .channels import monotonicity_check, monotonicity_sweep
 from .polygamy import sweep_polygamy, sweep_summary
+from .rand import _seed
 from .serialize import matrix_to_obj, read_observable, read_state
 
 ENV_SEED = "COHLAB_SEED"
@@ -34,13 +35,13 @@ THREADS_HELP = "accepted and ignored: sweeps run in one thread"
 
 
 def _resolve_seed(args) -> int:
-    if args.seed is not None:
-        return int(args.seed)
-    env = os.environ.get(ENV_SEED, "")
-    try:
-        return int(env) if env else 0
-    except ValueError as exc:
-        raise ParseError(f"{ENV_SEED}={env!r} is not an integer") from exc
+    seed, env = args.seed, os.environ.get(ENV_SEED, "")
+    if seed is None:
+        try:
+            seed = int(env) if env else 0
+        except ValueError as exc:
+            raise ParseError(f"{ENV_SEED}={env!r} is not an integer") from exc
+    return _seed(seed)
 
 
 def _meta(seed: int, **config) -> dict:

@@ -42,7 +42,7 @@ class NotPure(CohlabError):
 
 
 class NegativeCount(CohlabError):
-    """A sample count is negative, or a restart count is below 1."""
+    """A sample count or a seed is negative, or a restart count is below 1."""
 
 
 class BadPartition(CohlabError):

@@ -50,12 +50,18 @@ def _require_finite(a: np.ndarray):
         raise NotFinite("input has NaN or infinite entries")
 
 
+def _numeric(entries, dtype, what: str) -> np.ndarray:
+    """``np.asarray(entries, dtype)``; entries numpy cannot convert (strings, objects, ragged
+    nesting) raise ``DimensionMismatch`` with the message ``what``."""
+    try:
+        return np.asarray(entries, dtype=dtype)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DimensionMismatch(f"{what}: {exc}") from exc
+
+
 def _square(entries) -> np.ndarray:
     """First check of the input gate: ``entries`` as a non-empty square complex matrix."""
-    try:
-        a = np.asarray(entries, dtype=complex)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise DimensionMismatch(f"expected a square matrix: {exc}") from exc
+    a = _numeric(entries, complex, "expected a square matrix")
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
         raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
     return a
@@ -235,7 +241,7 @@ def partial_trace(rho: DensityMatrix, dims, keep) -> DensityMatrix:
 
 def pure_state(vec) -> DensityMatrix:
     """Rank-one state from a (not necessarily normalized) state vector."""
-    v = np.asarray(vec, dtype=complex).ravel()
+    v = _numeric(vec, complex, "expected a state vector").ravel()
     nrm = float(np.linalg.norm(v))
     if nrm == 0.0:
         raise DimensionMismatch("zero vector has no associated state")

@@ -17,7 +17,7 @@ import numpy as np
 
 from .coherence import _entropy_bits, _skew_sandwich, c_l2, c_rel_entropy
 from .errors import DimensionMismatch
-from .linalg import DensityMatrix, _frozen, _index, _require_finite
+from .linalg import DensityMatrix, _frozen, _index, _numeric, _require_finite
 from .rand import as_rng, child_rng
 
 IMAG_TOL = 1e-6
@@ -81,10 +81,10 @@ def recover_spectrum(trace_powers) -> SpectrumEstimate:
     keeps an imaginary part above 1e-6 or when the dimension exceeds 6,
     where root finding from power sums degrades quickly.
     """
-    p = np.asarray(trace_powers, dtype=float)
-    n = len(p)
-    if n < 1:
-        raise DimensionMismatch("need power sums for n = 1..N")
+    p = _numeric(trace_powers, float, "power sums must be real numbers")
+    n = p.size
+    if p.ndim != 1 or n < 1:
+        raise DimensionMismatch("need a list of power sums for n = 1..N")
     _require_finite(p)
     e = np.zeros(n + 1)
     e[0] = 1.0

@@ -40,11 +40,11 @@ def _qfi_ratio(w: np.ndarray) -> np.ndarray:
     return np.divide(num, s, out=np.zeros_like(s), where=s > SPECTRAL_CUTOFF)
 
 
-def skew_qfi_sandwich(rho: DensityMatrix, k: int, tol: float = SANDWICH_TOL) -> dict:
-    """Check I <= F_Q/4 <= 2I for one basis index."""
+def skew_qfi_sandwich(rho: DensityMatrix, k: int) -> dict:
+    """Check I <= F_Q/4 <= 2I for one basis index, each side within ``SANDWICH_TOL``."""
     i = skew_info(rho, k)
     fq = qfi_projector(rho, k)
-    ok = (i <= fq / 4.0 + tol) and (fq / 4.0 <= 2.0 * i + tol)
+    ok = (i <= fq / 4.0 + SANDWICH_TOL) and (fq / 4.0 <= 2.0 * i + SANDWICH_TOL)
     return {"skew": i, "qfi": fq, "ok": ok}
 
 

@@ -9,19 +9,29 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import DensityMatrix, _dim, pure_state, validate_density
+from .errors import NegativeCount
+from .linalg import DensityMatrix, _dim, _index, pure_state, validate_density
+
+
+def _seed(seed) -> int:
+    """``seed`` as a non-negative Python int, the one seed rule: what ``_index`` refuses raises
+    ``DimensionMismatch``, a negative seed ``NegativeCount``."""
+    seed = _index(seed)
+    if seed < 0:
+        raise NegativeCount(f"seed {seed} is negative")
+    return seed
 
 
 def as_rng(seed_or_rng) -> np.random.Generator:
-    """Pass through a Generator, or build one from an integer seed."""
+    """Pass through a Generator, or build one from an integer seed by the ``_seed`` rule."""
     if isinstance(seed_or_rng, np.random.Generator):
         return seed_or_rng
-    return np.random.default_rng(np.random.SeedSequence(seed_or_rng))
+    return np.random.default_rng(np.random.SeedSequence(_seed(seed_or_rng)))
 
 
 def child_rng(master_seed: int, index: int) -> np.random.Generator:
-    """Generator for sample ``index`` of a sweep keyed by ``master_seed``."""
-    return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(index,)))
+    """Generator for sample ``index`` of a sweep keyed by ``master_seed`` (the ``_seed`` rule)."""
+    return np.random.default_rng(np.random.SeedSequence(_seed(master_seed), spawn_key=(index,)))
 
 
 def _complex_normal(rng: np.random.Generator, shape) -> np.ndarray:

@@ -177,7 +177,7 @@ def test_criterion_08_fisher_sandwich():
         dim = 2 + (i % 4)
         rho = ginibre_mixed(dim, rng)
         for k in range(dim):
-            s = skew_qfi_sandwich(rho, k, tol=1e-9)
+            s = skew_qfi_sandwich(rho, k)
             worst = min(worst, s["qfi"] / 4 - s["skew"] + 1e-9,
                         2 * s["skew"] - s["qfi"] / 4 + 1e-9)
             if not s["ok"]:

@@ -54,7 +54,9 @@ def test_validate_channel_rejects_empty():
     [np.eye(2), np.eye(3)],
     [np.eye(2), np.ones(2)],
     [np.zeros((2, 0))],
-], ids=["1-d-operator", "3-d-operator", "bare-matrix", "ragged", "ragged-ndim", "empty-operator"])
+    [[[object()]]],
+], ids=["1-d-operator", "3-d-operator", "bare-matrix", "ragged", "ragged-ndim", "empty-operator",
+        "object-entry"])
 def test_validate_channel_rejects_bad_shapes(ops):
     with pytest.raises(DimensionMismatch):
         validate_channel(ops)
@@ -286,6 +288,21 @@ def test_sweep_rejects_non_positive_dim(dim):
         monotonicity_sweep("skew", 5, dim, seed=1)
 
 
+def assert_zero_operators_keep_the_bits(ch, rho, obs):
+    # a sweep chunk pads each channel with zero operators up to the chunk's largest Kraus count
+    padded = validate_channel(np.concatenate([ch.operators, np.zeros((2,) + ch.operators.shape[1:])]))
+    want, got = apply(ch, rho), apply(padded, rho)
+    for a, b in [(want.mat, got.mat), (want.eigenvalues, got.eigenvalues),
+                 (want.eigenvectors, got.eigenvectors)]:
+        assert a.tobytes() == b.tobytes()
+    want, got = apply_selective(ch, rho), apply_selective(padded, rho)
+    assert [o.probability for o in got] == [o.probability for o in want]
+    assert [o.state.mat.tobytes() for o in got] == [o.state.mat.tobytes() for o in want]
+    assert monotonicity_check(padded, rho) == monotonicity_check(ch, rho)
+    k = monotonicity_check(padded, rho, measure="k", observable=obs)
+    assert k == monotonicity_check(ch, rho, measure="k", observable=obs)
+
+
 def test_check_matches_reference_on_general_channels_and_fixture():
     for i in range(120):
         rng = child_rng(706, i)
@@ -297,7 +314,9 @@ def test_check_matches_reference_on_general_channels_and_fixture():
         assert monotonicity_check(ch, rho) == monotonicity_reference(ch, rho)
         want = monotonicity_reference(ch, rho, "k", obs)
         assert monotonicity_check(ch, rho, measure="k", observable=obs) == want
+        assert_zero_operators_keep_the_bits(ch, rho, obs)
     rho, ch, obs = k_coherence_counterexample()
+    assert_zero_operators_keep_the_bits(ch, rho, obs)
     skew = monotonicity_check(ch, rho)
     assert (skew.c_before, skew.c_avg_after, skew.c_after) == (
         0.07907741588993877, 0.07749689039655486, 0.04948324191676701)
@@ -354,9 +373,10 @@ def test_random_channel_without_operators_raises_before_any_warning(n_kraus):
     (lambda: monotonicity_sweep("skew", 5, 3, seed=0, n_kraus=0), InfeasiblePattern),
     (lambda: monotonicity_sweep("skew", 5, 3, seed=0, n_kraus=2.0), DimensionMismatch),
     (lambda: random_incoherent_channel(0, 2, 0), DimensionMismatch),
+    (lambda: random_channel(-1, 2, 0), DimensionMismatch),
 ], ids=["kraus-float", "dim-float", "incoherent-kraus-float", "incoherent-kraus-negative",
         "sweep-samples-float", "sweep-dim-float", "sweep-samples-negative", "sweep-kraus-zero",
-        "sweep-kraus-float", "incoherent-dim-zero"])
+        "sweep-kraus-float", "incoherent-dim-zero", "dim-negative"])
 def test_counts_and_dims_follow_the_integer_rule(call, error):
     with pytest.raises(error):
         call()

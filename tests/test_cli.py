@@ -426,6 +426,23 @@ def test_non_integer_env_seed_exits_2(plus_file, monkeypatch):
     assert err["error"] == "ParseError" and "COHLAB_SEED" in err["detail"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["sweep", "polygamy", "--dims", "2x2", "--samples", "3", "--seed", "-1"],
+    ["monotonicity", "--dim", "2", "--samples", "3", "--seed", "-1"],
+    ["discord", "--fixture", "theorem3-cnot", "--seed", "-1"],
+    ["fixture", "theorem3-cnot", "--seed", "-1"],
+    ["simulate-measure", "--input", "PLUS", "--shots", "50", "--seed", "-1"],
+    ["monotonicity", "--dim", "2", "--samples", "3"],
+], ids=["sweep", "monotonicity", "discord", "fixture", "simulate-measure", "env"])
+def test_negative_seed_prints_json_and_exits_2(argv, plus_file, monkeypatch):
+    monkeypatch.setenv(cli.ENV_SEED, "-5")  # read only where --seed is absent
+    code, out = run_cli([plus_file if a == "PLUS" else a for a in argv])
+    assert code == 2
+    err = json.loads(out)
+    assert err == {"error": "NegativeCount",
+                   "detail": f"seed {-1 if '--seed' in argv else -5} is negative"}
+
+
 def test_sweep_csv_bytes_are_pinned(tmp_path):
     # SHA-256 of this CSV as the per-sample sweep wrote it; the stacked sweep
     # must reproduce it byte for byte (the header embeds the package version)

@@ -9,6 +9,8 @@ from hypothesis.extra.numpy import arrays
 from cohlab import (
     basis_state,
     child_rng,
+    discord_sym,
+    estimate_measures,
     generalized_cnot,
     ginibre_mixed,
     haar_pure,
@@ -19,6 +21,7 @@ from cohlab import (
     random_unitary,
     skew_qfi_sandwich,
     sqrtm,
+    sweep_polygamy,
     tensor,
     validate_density,
 )
@@ -26,6 +29,7 @@ from cohlab.channels import validate_channel
 from cohlab.coherence import check_unitary, skew_info, validate_observable
 from cohlab.errors import (
     DimensionMismatch,
+    NegativeCount,
     NotFinite,
     NotHermitian,
     NotPSD,
@@ -33,6 +37,7 @@ from cohlab.errors import (
 )
 from cohlab.fixtures import COUNTEREXAMPLE_RHO
 from cohlab.linalg import CHUNK_ENTRIES, _chunks
+from cohlab.rand import as_rng
 
 from oracles import psd_sqrt
 
@@ -262,6 +267,37 @@ def test_index_arguments_are_integers_in_range(call):
     # numpy once raised IndexError/TypeError here, or read -1 as the last index and 0.5 as 0
     with pytest.raises(DimensionMismatch):
         call(maximally_coherent(4))
+
+
+@pytest.mark.parametrize("call,error", [
+    (lambda rho: child_rng(-1, 0), NegativeCount),
+    (lambda rho: child_rng(1.5, 0), DimensionMismatch),
+    (lambda rho: child_rng("7", 0), DimensionMismatch),
+    (lambda rho: as_rng(-1), NegativeCount),
+    (lambda rho: as_rng(True), DimensionMismatch),
+    (lambda rho: ginibre_mixed(2, 2.5), DimensionMismatch),
+    (lambda rho: sweep_polygamy((2, 2), 3, -1), NegativeCount),
+    (lambda rho: discord_sym(rho, (2, 2), restarts=2, seed=-1), NegativeCount),
+    (lambda rho: estimate_measures(rho, 100, -1), NegativeCount),
+], ids=["child-negative", "child-float", "child-string", "as-rng-negative", "as-rng-bool",
+        "ginibre-seed-float", "sweep-negative", "discord-negative", "estimate-negative"])
+def test_seeds_are_non_negative_integers(call, error):
+    # numpy once raised its bare ValueError or TypeError here
+    with pytest.raises(error):
+        call(maximally_coherent(4))
+
+
+def test_seed_rule_passes_generators_and_numpy_integers():
+    rng = np.random.default_rng(3)
+    assert as_rng(rng) is rng
+    assert child_rng(np.int64(5), 2).random() == child_rng(5, 2).random()
+    assert as_rng(np.uint8(5)).random() == as_rng(5).random()
+
+
+@pytest.mark.parametrize("vec", ["ab", [1, "a"], [object()]], ids=["string", "string-entry", "object"])
+def test_pure_state_rejects_non_numeric_entries(vec):
+    with pytest.raises(DimensionMismatch, match="state vector"):
+        pure_state(vec)
 
 
 def test_index_arguments_accept_numpy_integers():

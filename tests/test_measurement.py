@@ -203,3 +203,10 @@ def test_counts_are_positive_integers(call):
 def test_recover_rejects_empty_power_sums():
     with pytest.raises(DimensionMismatch):
         recover_spectrum([])
+
+
+@pytest.mark.parametrize("powers", [["a"], [[1.0, 0.5]], 1.0, [object()]],
+                         ids=["string", "2-d", "scalar", "object"])
+def test_recover_rejects_power_sums_that_are_not_a_list_of_numbers(powers):
+    with pytest.raises(DimensionMismatch):
+        recover_spectrum(powers)
