@@ -13,9 +13,9 @@ from .errors import (
     InfeasiblePattern,
     NegativeCount,
 )
-from .linalg import DensityMatrix, _chunks, _dim, _frozen, _hermitian, _index, _numeric
-from .linalg import _require_finite, _validated, validate_density
-from .rand import _hermitian_part, _normalized_gram, as_rng, child_rng
+from .linalg import DensityMatrix, _chunks, _dim, _frozen, _from_spectrum, _hermitian, _index
+from .linalg import _numeric, _require_finite, _spectrum, _validated, validate_density
+from .rand import _child_rngs, _hermitian_part, _normalized_gram, _seed, as_rng, child_rng
 
 COMPLETENESS_ATOL = 1e-9
 SUPPORT_TOL = 1e-12
@@ -143,6 +143,18 @@ def monotonicity_check(
     return _verdicts(ch.operators[None], *state, measure, ks)[0]
 
 
+def _coherence(measure: str, ks=None):
+    """``coherence(w, v, owners, mat)`` of a validated stack under ``measure``: ``"skew"``, or
+    ``"k"`` with the observable ``ks[owners[j]]`` for entry ``j`` and the matrices ``mat``,
+    rebuilt from ``(w, v)`` when not given; any other name raises ``DimensionMismatch``."""
+    if measure == "skew":
+        return lambda w, v, owners, mat=None: _c_skew_of(w, v)
+    if measure == "k":
+        return lambda w, v, owners, mat=None: _k_of(
+            _from_spectrum(w, v) if mat is None else mat, w, v, ks[owners])
+    raise DimensionMismatch(f"unknown measure {measure!r}")
+
+
 def _verdicts(ops, mat, w, v, measure: str, ks) -> list:
     """Verdict of each validated state ``(mat[j], w[j], v[j])`` under its channel ``ops[j]``.
 
@@ -154,19 +166,14 @@ def _verdicts(ops, mat, w, v, measure: str, ks) -> list:
     validated as one stack, and so are the channel outputs; the average over
     outcomes is a Python sum in outcome order.
     """
-    if measure == "skew":
-        coherence = lambda mat, w, v, owners: _c_skew_of(w, v)
-    elif measure == "k":
-        coherence = lambda mat, w, v, owners: _k_of(mat, w, v, ks[owners])
-    else:
-        raise DimensionMismatch(f"unknown measure {measure!r}")
+    coherence = _coherence(measure, ks)
     terms = _terms(ops, mat[:, None])
     probs = terms.trace(axis1=-2, axis2=-1).real
     kept = probs >= OUTCOME_TOL
-    outcomes = _validated(terms[kept] / probs[kept, None, None])
-    after = _validated(terms.sum(axis=1))
+    outcomes = _spectrum(terms[kept] / probs[kept, None, None])
+    after = _spectrum(terms.sum(axis=1))
     samples = np.arange(len(ops))
-    c_before = coherence(mat, w, v, samples).tolist()
+    c_before = coherence(w, v, samples, mat).tolist()
     c_after = coherence(*after, samples).tolist()
     weighted = np.zeros(probs.shape)  # p C of each kept outcome, 0.0 (adds nothing) elsewhere
     weighted[kept] = probs[kept] * coherence(*outcomes, np.nonzero(kept)[0])
@@ -295,10 +302,13 @@ def monotonicity_sweep(
     ``random_hermitian``.  The channels, states and observables are then
     built, validated and evaluated once per chunk; the chunk's channels form
     one ``(m, K, d, d)`` Kraus stack, ``K`` its largest Kraus count, in which
-    shorter channels end in zero operators.  Returns one
-    ``MonotonicityVerdict`` per sample, in sample order, each equal to
-    ``monotonicity_check`` of that sample.
+    shorter channels end in zero operators.  ``_child_rngs`` seeds each
+    chunk's generators at once.  Returns one ``MonotonicityVerdict`` per
+    sample, in sample order, each equal to ``monotonicity_check`` of that
+    sample.  The seed and the measure are checked before anything is drawn.
     """
+    seed = _seed(seed)
+    _coherence(measure)
     samples, dim = _index(samples), _dim(dim)
     if samples < 0:
         raise NegativeCount(f"sample count {samples} is negative")
@@ -311,12 +321,14 @@ def monotonicity_sweep(
     verdicts = []
     # the outcome stack, up to max_kraus * dim^2 entries per sample, is the largest
     for chunk in _chunks(samples, max(tiles) * dim * dim):
-        draws = [_sample_draws(seed, i, dim, n_kraus, tiles, tail, _draw) for i in chunk]
+        draws = [_sample_draws(rng, dim, n_kraus, tiles, tail, _draw)
+                 for rng in _child_rngs(seed, chunk)]
         rows, amps = _channel_draws(draws, dim)
         short = np.flatnonzero(_column_norms(amps).min(axis=1) < NORM_FLOOR).tolist()
         if short:  # random_incoherent_channel redraws these: replay them its way
             for j in short:
-                draws[j] = _sample_draws(seed, chunk[j], dim, n_kraus, tiles, tail, _kept_draw)
+                draws[j] = _sample_draws(child_rng(seed, chunk[j]), dim, n_kraus, tiles, tail,
+                                         _kept_draw)
             rows, amps = _channel_draws(draws, dim)
         tails = np.stack([z[-tail:] for _, z in draws]).reshape(len(chunk), factors, 2, dim, dim)
         g = tails[:, :, 0] + 1j * tails[:, :, 1]
@@ -326,10 +338,9 @@ def monotonicity_sweep(
     return verdicts
 
 
-def _sample_draws(seed: int, i: int, dim: int, n_kraus, tiles: dict, tail: int, draw) -> tuple:
-    """Sweep sample ``i``'s ``draw(rng, tile, tail)`` from ``rng = child_rng(seed, i)``, after its
+def _sample_draws(rng, dim: int, n_kraus, tiles: dict, tail: int, draw) -> tuple:
+    """A sweep sample's ``draw(rng, tile, tail)`` from its child generator ``rng``, after its
     Kraus count unless ``n_kraus`` is given; the ``tail`` normals hold the Ginibre factor and,
     for ``"k"``, the observable's complex normal, real parts before imaginary parts."""
-    rng = child_rng(seed, i)
     nk = n_kraus if n_kraus is not None else int(rng.integers(1, dim + 2))
     return draw(rng, tiles[nk], tail)

@@ -193,6 +193,13 @@ def validate_density(entries) -> DensityMatrix:
 
 def _validated(a: np.ndarray):
     """(mat, w, v) of a complex matrix or stack of matrices; validate_density's body."""
+    w, v = _spectrum(a)
+    return _from_spectrum(w, v), w, v
+
+
+def _spectrum(a: np.ndarray):
+    """(w, v) of ``_validated`` without the rebuilt matrix, which ``_from_spectrum(w, v)`` gives
+    bit for bit on the same stack."""
     h = _hermitian(a)
     tr = h.trace(axis1=-2, axis2=-1).real
     tr_err = np.abs(tr - 1.0)
@@ -206,8 +213,7 @@ def _validated(a: np.ndarray):
     w_min = np.minimum.reduce(w[..., -1], axis=None)
     if w_min < -ATOL:
         raise NotPSD(f"min eigenvalue = {w_min:.3e}")
-    w = _clean_spectrum(w)
-    return _from_spectrum(w, v), w, v
+    return _clean_spectrum(w), v
 
 
 def sqrtm(rho: DensityMatrix) -> np.ndarray:

@@ -18,7 +18,7 @@ import numpy as np
 from .coherence import _entropy_bits, _skew_sandwich, c_l2, c_rel_entropy
 from .errors import DimensionMismatch
 from .linalg import DensityMatrix, _frozen, _index, _numeric, _require_finite
-from .rand import as_rng, child_rng
+from .rand import _seed, as_rng, child_rng
 
 IMAG_TOL = 1e-6
 WELL_CONDITIONED_DIM = 6
@@ -153,6 +153,7 @@ def estimate_measures(
     spectrum with ``exact_powers``); p_1 = 1 always.  Each power draws from
     its own child generator so estimates are reproducible per power.
     """
+    seed = _seed(seed)
     nd = rho.dim
     if exact_powers:
         records, est = [], exact_trace_powers(rho, nd)

@@ -18,8 +18,8 @@ import numpy as np
 from .coherence import _c_skew_of, c_skew
 from .errors import BadPartition, DimensionMismatch, NegativeCount, NotPure
 from .linalg import RANK_TOL, DensityMatrix, _chunks, _clean_spectrum, _index
-from .linalg import _subsystem_dims, _validated, partial_trace, validate_density
-from .rand import _normalized_gram, child_rng
+from .linalg import _spectrum, _subsystem_dims, _validated, partial_trace, validate_density
+from .rand import _child_rngs, _normalized_gram, _seed, child_rng
 
 PURITY_TOL = 1e-8
 GAP_TOL = 1e-9
@@ -114,7 +114,7 @@ def _records(mat: np.ndarray, w: np.ndarray, v: np.ndarray, dims) -> list:
     t = mat.reshape(-1, da, db, da, db)
     coherences = [_c_skew_of(w, v)]
     for axis in (2, 1):  # trace out B, then A
-        coherences.append(_c_skew_of(*_validated(np.trace(t, axis1=axis, axis2=axis + 2))[1:]))
+        coherences.append(_c_skew_of(*_spectrum(np.trace(t, axis1=axis, axis2=axis + 2))))
     ranks, sum_a, sum_b = _eigenstate_marginal_coherences(w, v, dims)
     d = mat.diagonal(axis1=-2, axis2=-1).real
     diag_sq = (d[..., None, :] @ d[..., :, None])[..., 0, 0]
@@ -222,8 +222,10 @@ def partition_check(rho: DensityMatrix, dims, tree) -> dict:
 def sweep_polygamy(dims, n_samples: int, seed: int) -> list:
     """Seeded sweep of bipartite records over Ginibre mixed states, in stacks.
 
-    Record ``i`` equals ``bipartite_record`` of the state drawn from ``child_rng(seed, i)``.
+    Record ``i`` equals ``bipartite_record`` of the state drawn from ``child_rng(seed, i)``;
+    ``_child_rngs`` seeds each chunk's generators at once.
     """
+    seed = _seed(seed)
     dims = tuple(map(_index, dims))
     if len(dims) != 2 or min(dims) < 1:
         raise DimensionMismatch(f"dims {dims} are not two positive integers")
@@ -235,7 +237,7 @@ def sweep_polygamy(dims, n_samples: int, seed: int) -> list:
     records = []
     for chunk in _chunks(n_samples, dim * dim):
         # real then imaginary parts in one call, the values of ginibre_mixed's two calls
-        z = np.stack([child_rng(seed, i).standard_normal((2, dim, dim)) for i in chunk])
+        z = np.stack([rng.standard_normal((2, dim, dim)) for rng in _child_rngs(seed, chunk)])
         records += _records(*_validated(_normalized_gram(z[:, 0] + 1j * z[:, 1])), (da, db))
     return records
 

@@ -330,14 +330,15 @@ def monotonicity_reference(ch, rho, measure="skew", obs=None, tol=1e-9):
 
 def monotonicity_sweep_reference(measure, samples, dim, seed, n_kraus=None):
     """Per-sample loop of ``monotonicity_sweep``: draw sample i from its child generator
-    (Kraus count, channel, Ginibre state, observable) and check it alone."""
-    from cohlab import child_rng, ginibre_mixed, random_incoherent_channel
+    (Kraus count, channel, Ginibre state, observable) and check it alone.  The generator is
+    numpy's, built here from the ``SeedSequence`` spawn key."""
+    from cohlab import ginibre_mixed, random_incoherent_channel
     from cohlab.coherence import validate_observable
     from cohlab.rand import random_hermitian
 
     verdicts = []
     for i in range(samples):
-        rng = child_rng(seed, i)
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
         nk = n_kraus if n_kraus is not None else int(rng.integers(1, dim + 2))
         ch = random_incoherent_channel(dim, nk, rng)
         rho = ginibre_mixed(dim, rng)

@@ -388,3 +388,13 @@ def test_check_rejects_k_without_observable_and_unknown_measures():
         monotonicity_check(channel, rho, measure="k")
     with pytest.raises(DimensionMismatch, match="unknown measure"):
         monotonicity_check(channel, rho, measure="l1")
+
+
+@pytest.mark.parametrize("samples", [0, 5])
+def test_sweep_rejects_an_unknown_measure_before_drawing(samples, monkeypatch):
+    def no_draws(*args):
+        raise AssertionError("drew samples for an unknown measure")
+
+    monkeypatch.setattr(channels, "_child_rngs", no_draws)
+    with pytest.raises(DimensionMismatch, match="unknown measure"):
+        monotonicity_sweep("l1", samples, 3, 0)

@@ -454,6 +454,22 @@ def test_sweep_csv_bytes_are_pinned(tmp_path):
     assert digest == "8a89a02415b2c711e50faf8b18691e8c7b59ccb93e10a94721b6ad3a47cb051f"
 
 
+@pytest.mark.parametrize("argv,digest", [
+    ("sweep polygamy --dims 2x3 --samples 40 --seed 18446744073709551621",
+     "4f661cddb5d9f5cd1a5ff078eb262710af3118bfcfaac091a053cf99461c5f37"),
+    ("monotonicity --measure skew --dim 3 --samples 40 "
+     "--seed 340282366920938463463374607431768211457",
+     "9cb690a955c050f8a330a14cbcec9b19e2fcd6a71cda8c931bbc00c6f2c72543"),
+], ids=["polygamy-3-word-seed", "monotonicity-5-word-seed"])
+def test_multi_word_seed_csv_bytes_are_pinned(tmp_path, argv, digest):
+    # SHA-256 of these CSVs as per-sample child_rng seeding wrote them; seeds past 2^32
+    # take more SeedSequence words, which the per-chunk seeding must hash alike
+    out = tmp_path / "sweep.csv"
+    code, _ = run_cli(argv.split() + ["--out", str(out)])
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 def monotonicity_digest(tmp_path, measure, dim, samples):
     out = tmp_path / "monotonicity.csv"
     code, _ = run_cli(["monotonicity", "--measure", measure, "--dim", str(dim), "--samples",

@@ -15,6 +15,7 @@ from cohlab import (
     ginibre_mixed,
     haar_pure,
     maximally_coherent,
+    monotonicity_sweep,
     partial_trace,
     pure_state,
     qfi_projector,
@@ -279,8 +280,13 @@ def test_index_arguments_are_integers_in_range(call):
     (lambda rho: sweep_polygamy((2, 2), 3, -1), NegativeCount),
     (lambda rho: discord_sym(rho, (2, 2), restarts=2, seed=-1), NegativeCount),
     (lambda rho: estimate_measures(rho, 100, -1), NegativeCount),
+    (lambda rho: sweep_polygamy((2, 2), 0, -1), NegativeCount),
+    (lambda rho: monotonicity_sweep("skew", 0, 3, -1), NegativeCount),
+    (lambda rho: estimate_measures(maximally_coherent(2), 100, -1, exact_powers=True),
+     NegativeCount),
 ], ids=["child-negative", "child-float", "child-string", "as-rng-negative", "as-rng-bool",
-        "ginibre-seed-float", "sweep-negative", "discord-negative", "estimate-negative"])
+        "ginibre-seed-float", "sweep-negative", "discord-negative", "estimate-negative",
+        "empty-sweep-negative", "empty-monotonicity-negative", "exact-estimate-negative"])
 def test_seeds_are_non_negative_integers(call, error):
     # numpy once raised its bare ValueError or TypeError here
     with pytest.raises(error):
