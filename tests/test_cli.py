@@ -470,6 +470,27 @@ def test_multi_word_seed_csv_bytes_are_pinned(tmp_path, argv, digest):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("argv,digest", [
+    ("sweep polygamy --dims 3x4 --samples 113 --seed 9",
+     "49f5720183e70c272f2ca12514b85d60dddc547c5e0ae19cd73a51349927b3b4"),
+    ("sweep polygamy --dims 2x3 --samples 40 --seed 18446744073709551621",
+     "4e3f1b3382d85b8e32711897c29529e2af22029c42a9e1430b44925e2408a06e"),
+], ids=["3x4-seed-9", "polygamy-3-word-seed"])
+def test_polygamy_csv_bytes_without_cs_columns_are_pinned(tmp_path, argv, digest):
+    # SHA-256 of the two pinned polygamy CSVs with the cs and gap_cor1_sym columns
+    # dropped: c_s sums eigenstate marginal coherences, whose last bits depend on how
+    # the Schmidt spectrum is computed, and every other column must not move with it
+    out = tmp_path / "sweep.csv"
+    code, _ = run_cli(argv.split() + ["--out", str(out)])
+    assert code == 0
+    lines = out.read_text().splitlines()
+    header = lines[2].split(",")
+    keep = [i for i, name in enumerate(header) if name not in ("cs", "gap_cor1_sym")]
+    assert len(keep) == len(header) - 2
+    kept = lines[:2] + [",".join(line.split(",")[i] for i in keep) for line in lines[2:]]
+    assert hashlib.sha256("\n".join(kept).encode()).hexdigest() == digest
+
+
 def monotonicity_digest(tmp_path, measure, dim, samples):
     out = tmp_path / "monotonicity.csv"
     code, _ = run_cli(["monotonicity", "--measure", measure, "--dim", str(dim), "--samples",
