@@ -3,9 +3,10 @@
 The pure-state product bound ``1 - C(AB) <= [1-C(A)][1-C(B)]`` extends to
 mixed states through a chain of theorems whose coefficients (minimal nonzero
 eigenvalue, rank, eigenstate marginal coherences) are collected per state in
-a :class:`PolygamyRecord`.  The plain product form on mixed states is only a
-conjecture for total dimension >= 6 and is falsifiable on two qubits; the
-sweep machinery below distinguishes the two numerically.
+a :class:`PolygamyRecord`.  The plain product form fails on mixed states of
+every size: the two-qubit mixture of ``find_qubit_violations``, embedded in
+2x3, 3x3 or 4x4 and mixed with 1e-3 of the maximally mixed state, is full
+rank with gap -2.3e-3, -2.0e-3 or -1.8e-3; the sweeps tell it from the rest.
 """
 
 from __future__ import annotations
@@ -37,31 +38,30 @@ def pure_polygamy_gap(psi: DensityMatrix, dims) -> float:
     return record.gap_pure_form
 
 
-def _coherence_of_stack(stack: np.ndarray) -> np.ndarray:
-    """c_skew of a stack of PSD unit-trace matrices; this einsum fixes the bits of c_s."""
-    w, v = np.linalg.eigh(stack)
-    w = _clean_spectrum(w)
-    sdiag = np.einsum("...km,...m->...k", np.abs(v) ** 2, np.sqrt(w))
-    return 1.0 - np.sum(sdiag**2, axis=-1)
-
-
 def _eigenstate_marginal_coherences(w: np.ndarray, v: np.ndarray, dims):
     """Ranks r and summed c_skew of both marginals of the eigenstates of (w, v) stacks.
 
-    Each eigenvector above the rank tolerance becomes a ``dims = (d_left,
-    d_right)`` amplitude matrix psi with marginals psi psi^dag and psi^T psi^*;
-    ties in degenerate spectra follow eigh.  Grouping by rank sums each state
-    over exactly r terms.
+    Each eigenvector above the rank tolerance is a ``dims`` amplitude matrix psi,
+    transposed if need be so that its rows are the smaller side.  One eigh of
+    psi psi^dag = sum_m s_m u_m u_m^dag gives that side's c_skew; the other
+    marginal has eigenvectors psi^T u_m^* / sqrt(s_m) on the same weights, so its
+    c_skew is ``_c_skew_of`` at 1/s_m over the weights ``_clean_spectrum`` keeps.
+    An SVD of psi agrees within 1e-12 down to weights of 1e-7 (eigh's roundoff
+    1e-16 in s_m shows as 1e-16 / sqrt(s_m)); rank groups sum over exactly r terms.
     """
-    d_left, d_right = dims
+    flip = dims[0] > dims[1]
     ranks = np.count_nonzero(w > RANK_TOL, axis=-1)
-    sum_left, sum_right = np.empty(ranks.shape), np.empty(ranks.shape)
+    sums = np.empty((2,) + ranks.shape)
     for r in np.unique(ranks):
         group = ranks == r
-        psi = v[group][..., :r].swapaxes(-1, -2).reshape(-1, r, d_left, d_right)
-        for sums, spec in ((sum_left, "...bk,...ck->...bc"), (sum_right, "...kb,...kc->...bc")):
-            sums[group] = np.sum(_coherence_of_stack(np.einsum(spec, psi, psi.conj())), axis=-1)
-    return ranks, sum_left, sum_right
+        psi = v[group][..., :r].swapaxes(-1, -2).reshape(-1, r, *dims)
+        psi = psi.swapaxes(-1, -2) if flip else psi
+        s, u = np.linalg.eigh(np.einsum("...bk,...ck->...bc", psi, psi.conj()))
+        s = _clean_spectrum(s)
+        inv = np.divide(1.0, s, out=np.zeros_like(s), where=s > 0.0)
+        for larger, spectrum in enumerate([(s, u), (inv, psi.swapaxes(-1, -2) @ u.conj())]):
+            sums[larger ^ flip, group] = np.sum(_c_skew_of(*spectrum), axis=-1)
+    return ranks, sums[0], sums[1]
 
 
 @dataclass(frozen=True)

@@ -444,26 +444,29 @@ def test_negative_seed_prints_json_and_exits_2(argv, plus_file, monkeypatch):
 
 
 def test_sweep_csv_bytes_are_pinned(tmp_path):
-    # SHA-256 of this CSV as the per-sample sweep wrote it; the stacked sweep
-    # must reproduce it byte for byte (the header embeds the package version)
+    # SHA-256 of this CSV (the header embeds the package version); its cs and
+    # gap_cor1_sym columns take their last bits from the one-eigh-per-eigenstate
+    # Schmidt kernel, and the pin without them holds every other column to the
+    # per-sample sweep's bytes
     out = tmp_path / "sweep.csv"
     code, _ = run_cli(["sweep", "polygamy", "--dims", "3x4", "--samples", "113", "--seed", "9",
                        "--out", str(out)])
     assert code == 0
     digest = hashlib.sha256(out.read_bytes()).hexdigest()
-    assert digest == "8a89a02415b2c711e50faf8b18691e8c7b59ccb93e10a94721b6ad3a47cb051f"
+    assert digest == "09950c1c72308ee90194e8664aee4082eea292dbf5474ad377de703eb1cab2ad"
 
 
 @pytest.mark.parametrize("argv,digest", [
     ("sweep polygamy --dims 2x3 --samples 40 --seed 18446744073709551621",
-     "4f661cddb5d9f5cd1a5ff078eb262710af3118bfcfaac091a053cf99461c5f37"),
+     "cf45a55052e7fc312c54316e63e1442825a23f01d2504504a53e34b6a27f3127"),
     ("monotonicity --measure skew --dim 3 --samples 40 "
      "--seed 340282366920938463463374607431768211457",
      "9cb690a955c050f8a330a14cbcec9b19e2fcd6a71cda8c931bbc00c6f2c72543"),
 ], ids=["polygamy-3-word-seed", "monotonicity-5-word-seed"])
 def test_multi_word_seed_csv_bytes_are_pinned(tmp_path, argv, digest):
-    # SHA-256 of these CSVs as per-sample child_rng seeding wrote them; seeds past 2^32
-    # take more SeedSequence words, which the per-chunk seeding must hash alike
+    # SHA-256 of these CSVs as per-sample child_rng seeding wrote them (the polygamy
+    # one since with the Schmidt kernel's cs columns); seeds past 2^32 take more
+    # SeedSequence words, which the per-chunk seeding must hash alike
     out = tmp_path / "sweep.csv"
     code, _ = run_cli(argv.split() + ["--out", str(out)])
     assert code == 0

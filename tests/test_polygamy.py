@@ -15,6 +15,7 @@ from cohlab import (
     partition_check,
     pure_polygamy_gap,
     qfi_projector,
+    random_unitary,
     sqrtm,
     sweep_polygamy,
     sweep_summary,
@@ -25,7 +26,12 @@ from cohlab.errors import BadPartition, DimensionMismatch, NotPure
 from cohlab.fixtures import max_coherent_pair, qubit_mixture_counterexample
 from cohlab.linalg import CHUNK_ENTRIES, RANK_TOL, partial_trace, validate_density
 from cohlab.polygamy import _records
-from oracles import partition_reference, schmidt_marginal_coherences
+from oracles import (
+    partition_reference,
+    product_coherence_commutator,
+    schmidt_marginal_coherences,
+    skew_info_commutator,
+)
 
 
 def _kept_eigenvectors(rho):
@@ -156,12 +162,32 @@ def test_partition_exponent_bookkeeping():
     assert [s["subsystems"] for s in res["splits"]] == [(0, 1, 2), (1, 2)]
 
 
-@pytest.mark.parametrize("dims", [(2, 3), (3, 4)])
+def _near_product_state(dims, rng, weight):
+    """State on a random product basis whose (k, k) and (k+1, k+1) vectors, k even, are
+    rotated into pairs of Schmidt weights (1 - weight, weight).
+
+    Its eigenvalues are a shuffled 1, 2, ..., d over d(d+1)/2; with gaps that wide,
+    eigh's eigenvectors carry only roundoff-size Schmidt weights beyond these.
+    """
+    da, db = dims
+    basis = np.kron(random_unitary(da, rng), random_unitary(db, rng))
+    c, s = np.sqrt(1.0 - weight), np.sqrt(weight)
+    for k in range(0, min(dims) - 1, 2):
+        pair = [k * db + k, (k + 1) * db + k + 1]
+        basis[:, pair] = basis[:, pair] @ np.array([[c, -s], [s, c]])
+    p = rng.permutation(np.arange(1.0, da * db + 1))
+    return validate_density((basis * (p / p.sum())) @ basis.conj().T)
+
+
+@pytest.mark.parametrize("dims", [(2, 3), (3, 4), (3, 3), (4, 4), (3, 2), (4, 2), (2, 8)])
 def test_record_eigenstate_sums_match_schmidt_oracle(dims):
     # the marginals of a 2x3 or 3x4 eigenstate are rank deficient on the
-    # larger side, so the roundoff rule decides the digits here
-    for i in range(100):
-        rho = ginibre_mixed(dims[0] * dims[1], child_rng(31, i))
+    # larger side, and those of a product eigenstate on both sides, so the
+    # roundoff rule decides the digits here
+    rng = child_rng(30, dims[0] * dims[1])
+    states = [ginibre_mixed(dims[0] * dims[1], child_rng(31, i)) for i in range(100)]
+    states += [_near_product_state(dims, rng, weight) for weight in (0.0, 1e-7) for _ in range(20)]
+    for rho in states:
         rec = bipartite_record(rho, dims)
         sum_a, sum_b = schmidt_marginal_coherences(_kept_eigenvectors(rho), dims, [0])
         assert rec.sum_eig_coh_a == pytest.approx(sum_a, abs=1e-12)
@@ -368,6 +394,42 @@ def test_qubit_violation_search_replays():
     # the proven forms hold even on violating states
     for _, rec in found[:5]:
         assert all(g >= -1e-9 for g in rec.theorem_gaps().values())
+
+
+@pytest.mark.parametrize("dims,gap", [((2, 3), -2.3e-3), ((3, 3), -2.0e-3), ((4, 4), -1.8e-3)])
+def test_plain_product_form_fails_on_full_rank_states_beyond_two_qubits(dims, gap):
+    # the two-qubit witness in the lowest levels of each side, mixed with 1e-3 of the
+    # maximally mixed state
+    da, db = dims
+    t = np.zeros((da, db, da, db), dtype=complex)
+    t[:2, :2, :2, :2] = qubit_mixture_counterexample()["rho"].mat.reshape(2, 2, 2, 2)
+    mat = (1.0 - 1e-3) * t.reshape(da * db, -1) + 1e-3 * np.eye(da * db) / (da * db)
+    rec = bipartite_record(validate_density(mat), dims)
+    t = mat.reshape(da, db, da, db)
+    c_a = sum(skew_info_commutator(np.trace(t, axis1=1, axis2=3), k) for k in range(da))
+    c_b = sum(skew_info_commutator(np.trace(t, axis1=0, axis2=2), k) for k in range(db))
+    oracle_gap = (1.0 - c_a) * (1.0 - c_b) - (1.0 - product_coherence_commutator(mat, dims))
+    assert rec.rank == da * db
+    assert rec.gap_pure_form == pytest.approx(oracle_gap, abs=1e-12)
+    assert rec.gap_pure_form == pytest.approx(gap, abs=5e-5)
+    assert all(g >= -1e-9 for g in rec.theorem_gaps().values())
+
+
+@pytest.mark.parametrize("dims", [(2, 3), (4, 4)])
+def test_sweep_eigendecomposes_d_plus_3_matrices_per_sample(dims, monkeypatch):
+    # the state, its two marginals, and the smaller Schmidt side of each of its d eigenstates
+    eigh, matrices = np.linalg.eigh, []
+
+    def counted(a, *args, **kwargs):
+        matrices.append(int(np.prod(np.shape(a)[:-2])))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    d = dims[0] * dims[1]
+    n = CHUNK_ENTRIES // (d * d) + 3  # two chunks
+    records = sweep_polygamy(dims, n, seed=4)
+    assert [r.rank for r in records] == [d] * n
+    assert sum(matrices) == n * (d + 3)
 
 
 @pytest.mark.parametrize("n_samples", [2.5, "4", None])
