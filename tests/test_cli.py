@@ -444,9 +444,8 @@ def test_negative_seed_prints_json_and_exits_2(argv, plus_file, monkeypatch):
 
 
 def test_sweep_csv_bytes_are_pinned(tmp_path):
-    # SHA-256 of this CSV (the header embeds the package version); its cs and
-    # gap_cor1_sym columns take their last bits from the one-eigh-per-eigenstate
-    # Schmidt kernel, and the pin without them holds every other column to the
+    # SHA-256 of this CSV (the header embeds the package version); the pin below
+    # without the cs and gap_cor1_sym columns holds every other column to the
     # per-sample sweep's bytes
     out = tmp_path / "sweep.csv"
     code, _ = run_cli(["sweep", "polygamy", "--dims", "3x4", "--samples", "113", "--seed", "9",
@@ -464,9 +463,8 @@ def test_sweep_csv_bytes_are_pinned(tmp_path):
      "9cb690a955c050f8a330a14cbcec9b19e2fcd6a71cda8c931bbc00c6f2c72543"),
 ], ids=["polygamy-3-word-seed", "monotonicity-5-word-seed"])
 def test_multi_word_seed_csv_bytes_are_pinned(tmp_path, argv, digest):
-    # SHA-256 of these CSVs as per-sample child_rng seeding wrote them (the polygamy
-    # one since with the Schmidt kernel's cs columns); seeds past 2^32 take more
-    # SeedSequence words, which the per-chunk seeding must hash alike
+    # SHA-256 of these CSVs; seeds past 2^32 take more SeedSequence words, which the
+    # per-chunk seeding must hash as per-sample child_rng seeding does
     out = tmp_path / "sweep.csv"
     code, _ = run_cli(argv.split() + ["--out", str(out)])
     assert code == 0
