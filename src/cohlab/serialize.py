@@ -34,7 +34,7 @@ def _obj_matrix(obj, square: bool = True) -> np.ndarray:
         raise ParseError(f"'re' shape {re.shape} and 'im' shape {im.shape} disagree")
     if "dim" in obj and square and re.shape != (obj["dim"],) * 2:
         raise ParseError(f"declared dim {obj['dim']!r} does not match shape {re.shape}")
-    return re + 1j * im
+    return np.stack((re, im), axis=-1).view(complex)[..., 0]  # re + 1j * inf warns on 0 * inf
 
 
 def load_json(path: str):

@@ -9,7 +9,7 @@ from contextlib import redirect_stdout
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cohlab
@@ -98,6 +98,7 @@ _STATE_LIKE = st.fixed_dictionaries({"re": _ROWS | _JSON, "im": _ROWS | _JSON},
 
 @settings(max_examples=200, deadline=None)
 @given(_STATE_LIKE | _JSON)
+@example({"re": [[None, None, 0.0]], "im": [[None, None, float("inf")]]})  # 1j * inf warned
 def test_read_state_raises_only_cohlab_errors(obj):
     # the wrong types, ragged rows and non-dict roots that state files can hold
     fd, path = tempfile.mkstemp(suffix=".json")
