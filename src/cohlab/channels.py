@@ -13,16 +13,15 @@ from .errors import (
     InfeasiblePattern,
     NegativeCount,
 )
-from .linalg import DensityMatrix, _chunks, _dim, _frozen, _from_spectrum, _hermitian, _index
-from .linalg import _numeric, _require_finite, _spectrum, _validated, validate_density
-from .rand import _child_rngs, _hermitian_part, _normalized_gram, _seed, as_rng, child_rng
+from .linalg import DensityMatrix, _chunks, _dim, _frozen, _from_spectrum, _hermitian
+from .linalg import _hermitian_part, _index, _numeric, _require_finite, _spectrum, _validated
+from .linalg import validate_density
+from .rand import _child_rngs, _normalized_gram, _seed, as_rng
 
 COMPLETENESS_ATOL = 1e-9
 SUPPORT_TOL = 1e-12
 OUTCOME_TOL = 1e-12
 MONOTONE_TOL = 1e-9
-MAX_TRIES = 20  # amplitude draws random_incoherent_channel makes before giving up
-NORM_FLOOR = 1e-6  # smallest column norm of the amplitudes random_incoherent_channel keeps
 
 
 @dataclass(frozen=True)
@@ -188,16 +187,15 @@ def random_incoherent_channel(dim: int, n_kraus: int, rng) -> KrausChannel:
     """Random incoherent channel with ``n_kraus`` operators.
 
     Each operator gets an independent permutation support pattern with random
-    complex amplitudes, redrawn (at most ``MAX_TRIES`` times) while a column
-    norm is below ``NORM_FLOOR``.  The channel is built by ``_incoherent_ops``,
-    the stacked builder that ``monotonicity_sweep`` runs per chunk, on this
-    one draw: it normalizes each column across operators, which enforces
+    complex amplitudes.  The channel is built by ``_incoherent_ops``, the
+    stacked builder that ``monotonicity_sweep`` runs per chunk, on this one
+    draw: it normalizes each column across operators, which enforces
     completeness exactly while preserving the single-entry columns.
     """
     dim, n_kraus = _dim(dim), _index(n_kraus)
     if n_kraus < 1:
         raise InfeasiblePattern("need at least one Kraus operator")
-    draw = _kept_draw(as_rng(rng), np.tile(np.arange(dim), (n_kraus, 1)))
+    draw = _draw(as_rng(rng), np.tile(np.arange(dim), (n_kraus, 1)))
     return KrausChannel(_frozen(_incoherent_ops(*_channel_draws([draw], dim))[0]))
 
 
@@ -210,17 +208,6 @@ def _draw(rng, tile: np.ndarray, tail: int = 0) -> tuple:
     call returns the values that consecutive calls for the same total return.
     """
     return rng.permuted(tile, axis=1), rng.standard_normal(2 * tile.size + tail)
-
-
-def _kept_draw(rng, tile: np.ndarray, tail: int = 0) -> tuple:
-    """The first of up to ``MAX_TRIES`` ``_draw``s whose column norms all reach ``NORM_FLOOR``,
-    with ``tail`` normals drawn after it."""
-    for _ in range(MAX_TRIES):
-        rows, z = _draw(rng, tile)
-        _, amps = _channel_draws([(rows, z)], tile.shape[1])
-        if _column_norms(amps).min() >= NORM_FLOOR:
-            return rows, np.concatenate([z, rng.standard_normal(tail)])
-    raise InfeasiblePattern(f"no valid amplitude pattern after {MAX_TRIES} tries")
 
 
 def _channel_draws(draws, dim: int) -> tuple:
@@ -237,11 +224,6 @@ def _channel_draws(draws, dim: int) -> tuple:
     return rows, amps
 
 
-def _column_norms(amps: np.ndarray) -> np.ndarray:
-    """``(m, dim)`` column norms of each channel's ``(K, dim)`` amplitudes."""
-    return np.sqrt((np.abs(amps) ** 2).sum(axis=-2))
-
-
 def _incoherent_ops(rows: np.ndarray, amps: np.ndarray) -> np.ndarray:
     """``(m, K, dim, dim)`` Kraus stack of the incoherent channels drawn as ``(rows, amps)``.
 
@@ -254,7 +236,7 @@ def _incoherent_ops(rows: np.ndarray, amps: np.ndarray) -> np.ndarray:
     """
     m, k, dim = amps.shape
     ops = np.zeros((m, k, dim, dim), dtype=complex)
-    norms = _column_norms(amps)[:, None]
+    norms = np.sqrt((np.abs(amps) ** 2).sum(axis=1))[:, None]
     ops[np.arange(m)[:, None, None], np.arange(k)[:, None], rows, np.arange(dim)] = amps / norms
     _require_finite(ops)
     _require_complete(ops)
@@ -286,61 +268,39 @@ def normalize_kraus(ops) -> np.ndarray:
     return a @ ((v / np.sqrt(w)) @ v.conj().T)
 
 
-def monotonicity_sweep(
-    measure: str,
-    samples: int,
-    dim: int,
-    seed: int,
-    n_kraus: int | None = None,
-) -> list:
+def monotonicity_sweep(measure: str, samples: int, dim: int, seed: int) -> list:
     """Seeded sweep of monotonicity checks over random incoherent channels, in chunks.
 
-    Sample ``i`` draws everything from its own child generator: the Kraus
-    count (unless ``n_kraus`` is given), the channel's supports and amplitudes,
-    a Ginibre factor and (for the ``"k"`` measure) a random observable, in the
-    order of ``random_incoherent_channel``, ``ginibre_mixed`` and
-    ``random_hermitian``.  The channels, states and observables are then
-    built, validated and evaluated once per chunk; the chunk's channels form
-    one ``(m, K, d, d)`` Kraus stack, ``K`` its largest Kraus count, in which
-    shorter channels end in zero operators.  ``_child_rngs`` seeds each
-    chunk's generators at once.  Returns one ``MonotonicityVerdict`` per
-    sample, in sample order, each equal to ``monotonicity_check`` of that
-    sample.  The seed and the measure are checked before anything is drawn.
+    Sample ``i`` draws everything from its own child generator: a Kraus count
+    in ``1..dim+1``, the channel's supports and amplitudes, a Ginibre factor
+    and (for the ``"k"`` measure) a random observable, in the order of
+    ``random_incoherent_channel``, ``ginibre_mixed`` and ``random_hermitian``.
+    The channels, states and observables are then built, validated and
+    evaluated once per chunk; the chunk's channels form one ``(m, K, d, d)``
+    Kraus stack, ``K`` its largest Kraus count, in which shorter channels end
+    in zero operators.  ``_child_rngs`` seeds each chunk's generators at once.
+    Returns one ``MonotonicityVerdict`` per sample, in sample order, each equal
+    to ``monotonicity_check`` of that sample.  The seed and the measure are
+    checked before anything is drawn.
     """
     seed = _seed(seed)
     _coherence(measure)
     samples, dim = _index(samples), _dim(dim)
     if samples < 0:
         raise NegativeCount(f"sample count {samples} is negative")
-    kinds = range(1, dim + 2) if n_kraus is None else [_index(n_kraus)]
-    if kinds[0] < 1:
-        raise InfeasiblePattern("need at least one Kraus operator")
-    tiles = {nk: np.tile(np.arange(dim), (nk, 1)) for nk in kinds}
+    tiles = [np.tile(np.arange(dim), (nk, 1)) for nk in range(dim + 2)]  # nk rows of arange(dim)
     factors = 2 if measure == "k" else 1  # the Ginibre factor, then the observable's
-    tail = factors * 2 * dim * dim
+    tail = factors * 2 * dim * dim  # their complex normals, real parts before imaginary parts
     verdicts = []
-    # the outcome stack, up to max_kraus * dim^2 entries per sample, is the largest
-    for chunk in _chunks(samples, max(tiles) * dim * dim):
-        draws = [_sample_draws(rng, dim, n_kraus, tiles, tail, _draw)
+    # the outcome stack, up to (dim + 1) * dim^2 entries per sample, is the largest
+    for chunk in _chunks(samples, (dim + 1) * dim * dim):
+        # each sample's Kraus count, then its channel and tail normals
+        draws = [_draw(rng, tiles[int(rng.integers(1, dim + 2))], tail)
                  for rng in _child_rngs(seed, chunk)]
-        rows, amps = _channel_draws(draws, dim)
-        short = np.flatnonzero(_column_norms(amps).min(axis=1) < NORM_FLOOR).tolist()
-        if short:  # random_incoherent_channel redraws these: replay them its way
-            for j in short:
-                draws[j] = _sample_draws(child_rng(seed, chunk[j]), dim, n_kraus, tiles, tail,
-                                         _kept_draw)
-            rows, amps = _channel_draws(draws, dim)
         tails = np.stack([z[-tail:] for _, z in draws]).reshape(len(chunk), factors, 2, dim, dim)
         g = tails[:, :, 0] + 1j * tails[:, :, 1]
         states = _validated(_normalized_gram(g[:, 0]))
         ks = _hermitian(_hermitian_part(g[:, 1])) if factors == 2 else None
-        verdicts += _verdicts(_incoherent_ops(rows, amps), *states, measure, ks)
+        ops = _incoherent_ops(*_channel_draws(draws, dim))
+        verdicts += _verdicts(ops, *states, measure, ks)
     return verdicts
-
-
-def _sample_draws(rng, dim: int, n_kraus, tiles: dict, tail: int, draw) -> tuple:
-    """A sweep sample's ``draw(rng, tile, tail)`` from its child generator ``rng``, after its
-    Kraus count unless ``n_kraus`` is given; the ``tail`` normals hold the Ginibre factor and,
-    for ``"k"``, the observable's complex normal, real parts before imaginary parts."""
-    nk = n_kraus if n_kraus is not None else int(rng.integers(1, dim + 2))
-    return draw(rng, tiles[nk], tail)

@@ -26,6 +26,7 @@ from .rand import as_rng
 
 CONVERGENCE_GAP = 1e-5
 SWEEP_TOL = 1e-8  # a restart stops after a sweep that raises its kept weight by at most this
+MAX_SWEEPS = 2000  # or after this many sweeps
 
 
 @dataclass(frozen=True)
@@ -137,7 +138,7 @@ def _sweep(m, ua, ub, kept, active):
         _rotate_pair(m.transpose(0, 2, 1, 4, 3), ub, np.array(pair), np.eye(da), active)
 
 
-def _solve(rho_ab, dims, restarts, max_iters, seed, sym) -> DiscordResult:
+def _solve(rho_ab, dims, restarts, seed, sym) -> DiscordResult:
     """Sweep every start as one stack; the best restart, its value recomputed from its bases."""
     da, db = _subsystem_dims(rho_ab, dims, 2)
     restarts = _index(restarts)
@@ -150,7 +151,7 @@ def _solve(rho_ab, dims, restarts, max_iters, seed, sym) -> DiscordResult:
     kept = np.eye(db) if sym else np.ones((db, db))
     weight = _kept_weight(m, kept)
     active, sweeps = np.ones(len(m), dtype=bool), np.zeros(len(m), dtype=int)
-    while active.any() and sweeps.max() < max_iters:
+    while active.any() and sweeps.max() < MAX_SWEEPS:
         _sweep(m, ua, ub if sym else None, kept, active)
         sweeps += active
         new = _kept_weight(m, kept)
@@ -164,25 +165,23 @@ def _solve(rho_ab, dims, restarts, max_iters, seed, sym) -> DiscordResult:
     return DiscordResult(max(value, 0.0), basis, len(m), bool(converged), int(sweeps[best]))
 
 
-def discord_sym(rho_ab: DensityMatrix, dims, restarts: int = 32, max_iters: int = 2000,
-                seed: int = 0) -> DiscordResult:
+def discord_sym(rho_ab: DensityMatrix, dims, restarts: int = 32, seed: int = 0) -> DiscordResult:
     """Symmetric discord: minimal joint coherence over local product bases.
 
     The ``restarts`` starts (at least 1, else ``NegativeCount``) are swept together; each
-    stops after ``max_iters`` sweeps or a sweep that raises its summed squared diagonal by
+    stops after ``MAX_SWEEPS`` sweeps or a sweep that raises its summed squared diagonal by
     at most ``SWEEP_TOL``.  ``converged`` needs at least two restarts whose best two agree.
     """
-    return _solve(rho_ab, dims, restarts, max_iters, seed, True)
+    return _solve(rho_ab, dims, restarts, seed, True)
 
 
-def discord_asym(rho_ab: DensityMatrix, dims, restarts: int = 32, max_iters: int = 2000,
-                 seed: int = 0) -> DiscordResult:
+def discord_asym(rho_ab: DensityMatrix, dims, restarts: int = 32, seed: int = 0) -> DiscordResult:
     """Asymmetric discord: minimal A-subspace coherence over bases of A (``u_b`` is I).
 
-    Exact for a qubit A.  ``restarts`` and ``max_iters`` act as in
+    Exact for a qubit A.  ``restarts`` and the ``MAX_SWEEPS`` cap act as in
     :func:`discord_sym`, on the summed squared A-diagonal blocks.
     """
-    return _solve(rho_ab, dims, restarts, max_iters, seed, False)
+    return _solve(rho_ab, dims, restarts, seed, False)
 
 
 def __getattr__(name):

@@ -34,7 +34,7 @@ class IncompleteChannel(CohlabError):
 
 
 class InfeasiblePattern(CohlabError):
-    """Random channel construction failed within the retry budget."""
+    """A random incoherent channel was asked for fewer than one Kraus operator."""
 
 
 class NotPure(CohlabError):

@@ -85,10 +85,14 @@ def _hermitian(a: np.ndarray) -> np.ndarray:
     return h
 
 
+def _hermitian_part(a: np.ndarray) -> np.ndarray:
+    """(A + A^dag)/2 of a matrix or of each in a stack."""
+    return (a + a.conj().swapaxes(-1, -2)) / 2.0
+
+
 def _from_spectrum(f: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Hermitized v diag(f) v^dag of one spectrum or a stack of them."""
-    m = (v * f[..., None, :]) @ v.conj().swapaxes(-1, -2)
-    return (m + m.conj().swapaxes(-1, -2)) / 2.0
+    return _hermitian_part((v * f[..., None, :]) @ v.conj().swapaxes(-1, -2))
 
 
 def _clean_spectrum(w: np.ndarray) -> np.ndarray:
@@ -162,14 +166,23 @@ def _dim(dim) -> int:
     return dim
 
 
-def _subsystem_dims(rho: DensityMatrix, dims, n: int | None = None) -> tuple:
-    """``dims`` as positive integers, ``n`` of them if given, whose product is ``rho.dim``."""
+def _dims(dims, n: int | None = None) -> tuple:
+    """``dims`` as a non-empty tuple of positive integers by the ``_index`` rule, ``n`` of them
+    if given, else ``DimensionMismatch``."""
     try:
         dims = tuple(map(_index, dims))
     except TypeError as exc:  # dims is not iterable
         raise DimensionMismatch(f"dims must be a sequence of integers: {exc}") from exc
-    if (n is not None and len(dims) != n) or min(dims, default=0) < 1 or math.prod(dims) != rho.dim:
-        raise DimensionMismatch(f"dims {dims} are not positive factors of dimension {rho.dim}")
+    if (n is not None and len(dims) != n) or min(dims, default=0) < 1:
+        raise DimensionMismatch(f"dims {dims} are not {n or 'one or more'} positive integers")
+    return dims
+
+
+def _subsystem_dims(rho: DensityMatrix, dims, n: int | None = None) -> tuple:
+    """``_dims(dims, n)`` whose product is ``rho.dim``, else ``DimensionMismatch``."""
+    dims = _dims(dims, n)
+    if math.prod(dims) != rho.dim:
+        raise DimensionMismatch(f"dims {dims} are not factors of dimension {rho.dim}")
     return dims
 
 

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coherence import _c_skew_of, c_skew
-from .errors import BadPartition, DimensionMismatch, NegativeCount, NotPure
-from .linalg import RANK_TOL, DensityMatrix, _chunks, _clean_spectrum, _index
+from .errors import BadPartition, NegativeCount, NotPure
+from .linalg import RANK_TOL, DensityMatrix, _chunks, _clean_spectrum, _dims, _index
 from .linalg import _spectrum, _subsystem_dims, _validated, partial_trace, validate_density
 from .rand import _child_rngs, _normalized_gram, _seed, child_rng
 
@@ -226,10 +226,7 @@ def sweep_polygamy(dims, n_samples: int, seed: int) -> list:
     ``_child_rngs`` seeds each chunk's generators at once.
     """
     seed = _seed(seed)
-    dims = tuple(map(_index, dims))
-    if len(dims) != 2 or min(dims) < 1:
-        raise DimensionMismatch(f"dims {dims} are not two positive integers")
-    da, db = dims
+    da, db = _dims(dims, 2)
     n_samples = _index(n_samples)
     if n_samples < 0:
         raise NegativeCount(f"sample count {n_samples} is negative")
@@ -261,10 +258,14 @@ def find_qubit_violations(seed: int, n_trials: int = 50) -> list:
 
     Trial 0 is the unperturbed fixture; later trials jitter the mixing weight
     and the component vectors.  Returns (trial index, record) pairs with a
-    strictly negative pure-form gap.
+    strictly negative pure-form gap.  A negative seed or ``n_trials`` raises
+    ``NegativeCount`` and a non-integer one ``DimensionMismatch``.
     """
     from .fixtures import qubit_mixture_counterexample
 
+    seed, n_trials = _seed(seed), _index(n_trials)
+    if n_trials < 0:
+        raise NegativeCount(f"trial count {n_trials} is negative")
     base = qubit_mixture_counterexample()
     found = []
     for i in range(n_trials):

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NegativeCount
-from .linalg import DensityMatrix, _dim, _index, pure_state, validate_density
+from .linalg import DensityMatrix, _dim, _hermitian_part, _index, pure_state, validate_density
 
 
 def _seed(seed) -> int:
@@ -122,11 +122,6 @@ def _normalized_gram(g: np.ndarray) -> np.ndarray:
     """G G^dag / Tr(G G^dag) of a complex matrix or of each in a stack, not yet validated."""
     m = g @ g.conj().swapaxes(-1, -2)
     return m / m.trace(axis1=-2, axis2=-1).real[..., None, None]
-
-
-def _hermitian_part(a: np.ndarray) -> np.ndarray:
-    """(A + A^dag)/2 of a matrix or of each in a stack."""
-    return (a + a.conj().swapaxes(-1, -2)) / 2.0
 
 
 def ginibre_mixed(dim: int, rng) -> DensityMatrix:

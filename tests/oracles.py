@@ -291,9 +291,9 @@ def kraus_draws(rng, dim, n_kraus, incoherent):
     """Kraus operators drawn one operator at a time, in the channel samplers' draw order.
 
     Incoherent: one ``rng.permutation(dim)`` support per operator, then the
-    (n_kraus, dim) complex amplitudes normalized per column (the caller checks
-    that no column norm is tiny).  General: a complex normal block per operator,
-    real part then imaginary part, right-multiplied by (sum_n A_n^dag A_n)^(-1/2).
+    (n_kraus, dim) complex amplitudes normalized per column.  General: a complex
+    normal block per operator, real part then imaginary part, right-multiplied by
+    (sum_n A_n^dag A_n)^(-1/2).
     """
     if incoherent:
         rows = [rng.permutation(dim) for _ in range(n_kraus)]
@@ -328,7 +328,7 @@ def monotonicity_reference(ch, rho, measure="skew", obs=None, tol=1e-9):
                                c_after <= c_before + tol)
 
 
-def monotonicity_sweep_reference(measure, samples, dim, seed, n_kraus=None):
+def monotonicity_sweep_reference(measure, samples, dim, seed):
     """Per-sample loop of ``monotonicity_sweep``: draw sample i from its child generator
     (Kraus count, channel, Ginibre state, observable) and check it alone.  The generator is
     numpy's, built here from the ``SeedSequence`` spawn key."""
@@ -339,7 +339,7 @@ def monotonicity_sweep_reference(measure, samples, dim, seed, n_kraus=None):
     verdicts = []
     for i in range(samples):
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
-        nk = n_kraus if n_kraus is not None else int(rng.integers(1, dim + 2))
+        nk = int(rng.integers(1, dim + 2))
         ch = random_incoherent_channel(dim, nk, rng)
         rho = ginibre_mixed(dim, rng)
         obs = validate_observable(random_hermitian(dim, rng)) if measure == "k" else None

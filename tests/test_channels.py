@@ -23,7 +23,7 @@ from cohlab import (
     validate_density,
 )
 from cohlab import channels
-from cohlab.channels import COMPLETENESS_ATOL, MAX_TRIES, KrausChannel, completeness_residual
+from cohlab.channels import COMPLETENESS_ATOL, KrausChannel, completeness_residual
 from cohlab.coherence import validate_observable
 from cohlab.errors import DimensionMismatch, IncompleteChannel, InfeasiblePattern, NegativeCount
 from cohlab.rand import random_hermitian
@@ -249,37 +249,31 @@ def test_strong_monotonicity_sweep():
     ("k", 3, 80), ("k", 4, 80),
     ("skew", 8, 300), ("k", 6, 100),  # several chunks, the last one partial
 ])
-@pytest.mark.parametrize("n_kraus", [None, 2])
-def test_sweep_matches_per_sample_reference(measure, dim, samples, n_kraus):
+def test_sweep_matches_per_sample_reference(measure, dim, samples):
     for seed in (0, 7, 12345):
-        want = monotonicity_sweep_reference(measure, samples, dim, seed, n_kraus)
-        assert monotonicity_sweep(measure, samples, dim, seed, n_kraus) == want
+        want = monotonicity_sweep_reference(measure, samples, dim, seed)
+        assert monotonicity_sweep(measure, samples, dim, seed) == want
 
 
-# floors at which a column falls short in a good share of the draws, while twenty
-# short draws in a row stay below 1e-5 (one operator) or 1e-9 (two operators)
-@pytest.mark.parametrize("n_kraus,floor", [(None, 0.6), (2, 1.0)])
-@pytest.mark.parametrize("measure", ["skew", "k"])
-def test_sweep_replays_retried_draws_as_the_per_sample_sampler(measure, n_kraus, floor,
-                                                                monkeypatch):
-    plain = {dim: monotonicity_sweep(measure, 100, dim, 5, n_kraus) for dim in (2, 3, 4)}
-    monkeypatch.setattr(channels, "NORM_FLOOR", floor)
-    for dim, before in plain.items():
-        got = monotonicity_sweep(measure, 100, dim, 5, n_kraus)
-        assert got == monotonicity_sweep_reference(measure, 100, dim, 5, n_kraus)
-        assert sum(g != b for g, b in zip(got, before)) >= 5  # samples that redrew
-
-
-def test_a_floor_no_draw_meets_raises_after_max_tries(monkeypatch):
-    draws = []
+def test_a_tiny_amplitude_column_still_gives_a_complete_incoherent_channel(monkeypatch):
+    # a column's squared norm is chi-squared with 2K degrees of freedom, so draws this
+    # short (probability far below 1e-12) are planted: column 0 is scaled to norm 1e-9
     draw = channels._draw
-    monkeypatch.setattr(channels, "_draw", lambda *args: draws.append(1) or draw(*args))
-    monkeypatch.setattr(channels, "NORM_FLOOR", np.inf)
-    with pytest.raises(InfeasiblePattern):
-        random_incoherent_channel(3, 2, 0)
-    assert len(draws) == MAX_TRIES
-    with pytest.raises(InfeasiblePattern):
-        monotonicity_sweep("skew", 5, 3, seed=0)
+
+    def tiny_column(rng, tile, tail=0):
+        rows, z = draw(rng, tile, tail)
+        col = z[:2 * tile.size:tile.shape[1]]  # real then imaginary parts of column 0
+        col *= 1e-9 / np.sqrt((col ** 2).sum())
+        return rows, z
+
+    monkeypatch.setattr(channels, "_draw", tiny_column)
+    for i in range(40):
+        dim, n_kraus = 1 + i % 5, 1 + i % 4
+        ch = random_incoherent_channel(dim, n_kraus, child_rng(708, i))
+        assert completeness_residual(ch.operators) <= 1e-12
+        assert is_incoherent(ch)
+    for dim in (2, 3, 4):
+        assert all(v.strong_ok and v.weak_ok for v in monotonicity_sweep("skew", 60, dim, 8))
 
 
 @pytest.mark.parametrize("dim", [0, -1])
@@ -370,13 +364,11 @@ def test_random_channel_without_operators_raises_before_any_warning(n_kraus):
     (lambda: monotonicity_sweep("skew", 2.5, 3, seed=0), DimensionMismatch),
     (lambda: monotonicity_sweep("skew", 2, 3.0, seed=0), DimensionMismatch),
     (lambda: monotonicity_sweep("skew", -1, 3, seed=0), NegativeCount),
-    (lambda: monotonicity_sweep("skew", 5, 3, seed=0, n_kraus=0), InfeasiblePattern),
-    (lambda: monotonicity_sweep("skew", 5, 3, seed=0, n_kraus=2.0), DimensionMismatch),
     (lambda: random_incoherent_channel(0, 2, 0), DimensionMismatch),
     (lambda: random_channel(-1, 2, 0), DimensionMismatch),
 ], ids=["kraus-float", "dim-float", "incoherent-kraus-float", "incoherent-kraus-negative",
-        "sweep-samples-float", "sweep-dim-float", "sweep-samples-negative", "sweep-kraus-zero",
-        "sweep-kraus-float", "incoherent-dim-zero", "dim-negative"])
+        "sweep-samples-float", "sweep-dim-float", "sweep-samples-negative",
+        "incoherent-dim-zero", "dim-negative"])
 def test_counts_and_dims_follow_the_integer_rule(call, error):
     with pytest.raises(error):
         call()

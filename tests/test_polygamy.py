@@ -22,7 +22,7 @@ from cohlab import (
     tensor,
 )
 from cohlab.discord import discord_sym, subsystem_coherence
-from cohlab.errors import BadPartition, DimensionMismatch, NotPure
+from cohlab.errors import BadPartition, DimensionMismatch, NegativeCount, NotPure
 from cohlab.fixtures import max_coherent_pair, qubit_mixture_counterexample
 from cohlab.linalg import CHUNK_ENTRIES, RANK_TOL, partial_trace, validate_density
 from cohlab.polygamy import _records
@@ -361,7 +361,7 @@ def test_sweep_rejects_non_integer_dims(dims):
         sweep_polygamy(dims, 5, seed=1)
 
 
-@pytest.mark.parametrize("dims", [(2, 2, 1), (4,), ()])
+@pytest.mark.parametrize("dims", [(2, 2, 1), (4,), (), 5, None])
 def test_sweep_rejects_dims_of_wrong_length(dims):
     with pytest.raises(DimensionMismatch):
         sweep_polygamy(dims, 5, seed=1)
@@ -384,6 +384,18 @@ def test_subsystem_functions_reject_bad_dims(fn, dims):
     # (-2, -2) multiplies to 4, and numpy's reshape once raised its own ValueError for it
     with pytest.raises(DimensionMismatch):
         fn(maximally_coherent(4), dims)
+
+
+@pytest.mark.parametrize("seed,n_trials", [(0, "x"), (0, 2.0), (None, 3)])
+def test_qubit_violation_search_rejects_non_integer_arguments(seed, n_trials):
+    with pytest.raises(DimensionMismatch):
+        find_qubit_violations(seed, n_trials)
+
+
+@pytest.mark.parametrize("seed,n_trials", [(-1, 0), (-1, 3), (0, -1)])
+def test_qubit_violation_search_rejects_negative_arguments(seed, n_trials):
+    with pytest.raises(NegativeCount):
+        find_qubit_violations(seed, n_trials)
 
 
 def test_qubit_violation_search_replays():
