@@ -100,24 +100,20 @@ def qubit_mixture_counterexample() -> dict:
     }
 
 
+def _theorem3(sigma_a, sigma_b, channel, expected_discord, bound) -> dict:
+    """A theorem-3 fixture: the inputs, the channel, its output and the two expected values."""
+    rho_f = apply(channel, tensor(sigma_a, sigma_b))
+    return {"sigma_a": sigma_a, "sigma_b": sigma_b, "channel": channel, "rho_f": rho_f,
+            "expected_discord": expected_discord, "bound": bound}
+
+
 def cnot_attainment() -> dict:
     """Coherent qubit times a basis state through the copying permutation.
 
     The output is maximally correlated and its symmetric discord equals the
     coherence of the first factor exactly.
     """
-    sigma_a = maximally_coherent(2)
-    sigma_b = basis_state(2, 0)
-    channel = generalized_cnot(2)
-    joint = tensor(sigma_a, sigma_b)
-    return {
-        "sigma_a": sigma_a,
-        "sigma_b": sigma_b,
-        "channel": channel,
-        "rho_f": apply(channel, joint),
-        "expected_discord": 0.5,
-        "bound": 0.5,
-    }
+    return _theorem3(maximally_coherent(2), basis_state(2, 0), generalized_cnot(2), 0.5, 0.5)
 
 
 def block_unitary_example() -> dict:
@@ -130,15 +126,7 @@ def block_unitary_example() -> dict:
     u[2, 3] = 1.0
     u[3, 2] = -1.0
     sigma = maximally_coherent(2)
-    channel = validate_channel([u])
-    return {
-        "sigma_a": sigma,
-        "sigma_b": sigma,
-        "channel": channel,
-        "rho_f": apply(channel, tensor(sigma, sigma)),
-        "expected_discord": 0.5,
-        "bound": 0.75,
-    }
+    return _theorem3(sigma, sigma, validate_channel([u]), 0.5, 0.75)
 
 
 def max_coherent_pair() -> dict:

@@ -3,9 +3,10 @@
 Sweeps derive a child generator per sample with a spawn key, so sample ``i``
 is reproducible on its own and results do not depend on scheduling or on the
 order samples are drawn in.  ``child_rng`` is that generator; a sweep seeds
-the generators of a whole chunk at once with ``_child_rngs``, which runs the
-index-dependent end of numpy's ``SeedSequence`` hash over the chunk as uint32
-arrays and gives each sample the same PCG64 state bit for bit.
+the generators of a whole chunk at once with ``_child_rngs``.  There numpy
+hashes the seed into its ``SeedSequence`` pool and seeds PCG64, and cohlab
+hashes only the index words, for the whole chunk as uint32 arrays, so each
+sample gets the same generator bit for bit.
 """
 
 from __future__ import annotations
@@ -38,80 +39,63 @@ def child_rng(master_seed: int, index: int) -> np.random.Generator:
 
 
 _M32 = 0xFFFFFFFF
-# numpy's SeedSequence hash constants (NEP 19 fixes its stream) and PCG64's 128-bit multiplier
+# numpy's SeedSequence hash constants (NEP 19 fixes its stream)
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
 
 
-def _chain(h: int, mult: int, n: int) -> list:
-    """The ``n + 1`` hash constants h, h mult, h mult^2, ... mod 2^32 that ``n`` hashes use."""
+def _consts(h: int, mult: int, skip: int) -> np.ndarray:
+    """The uint32 constants (h, h_next), shape ``(2, 8, 1)``, of the 8 SeedSequence hashes that
+    follow the first ``skip`` of the chain h, h mult, h mult^2, ... mod 2^32."""
     chain = [h]
-    for _ in range(n):
+    for _ in range(skip + 8):
         chain.append(chain[-1] * mult & _M32)
-    return chain
+    return np.array([chain[-9:-1], chain[-8:]], dtype=np.uint32)[..., None]
 
 
 def _hashed(value, h, h_next):
-    """SeedSequence's hash of a word with constant ``h`` (``h_next`` after it); the words and
-    constants are Python ints or uint32 arrays alike."""
+    """SeedSequence's hash of uint32 words with constants ``h`` (``h_next`` after it)."""
     value = (value ^ h) * h_next & _M32
     return value ^ value >> 16
 
 
 def _mix(x, y):
-    """SeedSequence's mix of a pool word ``x`` with a hashed word ``y``."""
+    """SeedSequence's mix of pool words ``x`` with hashed words ``y``."""
     r = (_MIX_L * x - _MIX_R * y) & _M32
     return r ^ r >> 16
 
 
-def _words(n: int) -> list:
-    """The 32-bit words of ``n``, least significant first, as SeedSequence splits an int."""
-    words = [n & _M32]
-    while n := n >> 32:
-        words.append(n & _M32)
-    return words
+class _StateWords(np.random.bit_generator.ISeedSequence):
+    """One index's four uint64 state words, handed to ``np.random.PCG64`` as its seed sequence;
+    PCG64 reads them through a raw pointer, so they must be C-contiguous native uint64."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
 
 
 def _child_rngs(seed, indices):
     """Yield ``child_rng(seed, i)`` for each ``i`` in ``indices`` (each below 2^64), in order.
 
-    One Generator is reset in place to each sample's PCG64 state, so a yielded
-    generator is valid until the next one is drawn.  The ``SeedSequence`` pool
-    before the spawn key depends on ``seed`` alone and is hashed once in
-    Python ints; mixing in the spawn-key words and ``generate_state(4,
-    uint64)`` run as ``(4, m)`` and ``(8, m)`` uint32 array operations over
-    the chunk, and the PCG64 ``srandom`` step in Python ints per index.
+    numpy hashes ``seed`` into the ``SeedSequence`` pool once.  Mixing in the
+    spawn-key words and ``generate_state(4, uint64)`` run as ``(4, m)`` and
+    ``(8, m)`` uint32 array operations over the chunk, and numpy seeds each
+    index's PCG64 from its four state words.
     """
-    entropy = _words(_seed(seed))
-    entropy += [0] * (4 - len(entropy))  # SeedSequence pads the seed to the pool before a spawn key
-    # hashes: 4 pool words, 12 cross-mixes, then 4 per seed word past the 4th and per spawn word
-    chain = _chain(_INIT_A, _MULT_A, 4 * len(entropy) + 8)
-    consts = iter(zip(chain, chain[1:]))  # the constants of each hash in turn
-    pool = [_hashed(w, *next(consts)) for w in entropy[:4]]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], _hashed(pool[src], *next(consts)))
-    for w in entropy[4:]:
-        pool = [_mix(p, _hashed(w, *next(consts))) for p in pool]
+    seed = _seed(seed)
+    pool = np.random.SeedSequence(seed).pool[:, None]
+    # the pool took 4 * max(4, n) hashes for a seed of n 32-bit words; the spawn words take 8 more
+    consts = _consts(_INIT_A, _MULT_A, 4 * max(4, (seed.bit_length() + 31) // 32))
     idx = np.asarray(indices, dtype=np.uint64)
-    pool = np.array(pool, dtype=np.uint32)[:, None]
     for k, word in enumerate([idx & _M32, idx >> 32]):  # an index below 2^32 has one word
-        h, h_next = np.array([next(consts) for _ in range(4)], dtype=np.uint32).T[..., None]
-        mixed = _mix(pool, _hashed(word.astype(np.uint32), h, h_next))
+        mixed = _mix(pool, _hashed(word.astype(np.uint32), *consts[:, 4 * k:4 * k + 4]))
         pool = np.where(word > 0, mixed, pool) if k else mixed
-    chain = _chain(_INIT_B, _MULT_B, 8)
-    h, h_next = np.array([chain[:8], chain[1:]], dtype=np.uint32)[..., None]
-    state = _hashed(np.tile(pool, (2, 1)), h, h_next)  # generate_state's 8 words per index
-    rng = np.random.default_rng(0)
-    pcg = {"state": 0, "inc": 1}
-    full = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
-    for s0, s1, q0, q1 in np.ascontiguousarray(state.T, dtype="<u4").view("<u8").tolist():
-        inc = ((q0 << 64 | q1) << 1 | 1) & (1 << 128) - 1  # PCG64's srandom step
-        pcg["state"], pcg["inc"] = ((inc + (s0 << 64 | s1)) * _PCG_MULT + inc) & (1 << 128) - 1, inc
-        rng.bit_generator.state = full
-        yield rng
+    state = _hashed(np.tile(pool, (2, 1)), *_consts(_INIT_B, _MULT_B, 0))  # generate_state's 8 words
+    words = np.ascontiguousarray(state.T, dtype="<u4").view("<u8").astype(np.uint64, copy=False)
+    for w in words:
+        yield np.random.Generator(np.random.PCG64(_StateWords(w)))
 
 
 def _complex_normal(rng: np.random.Generator, shape) -> np.ndarray:

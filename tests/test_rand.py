@@ -3,7 +3,7 @@ import pytest
 
 from cohlab.rand import _child_rngs
 
-SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**128 + 1]  # the last one is 5 SeedSequence words
+SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**96 + 5, 2**128 + 1]  # 1, 1, 1, 2, 3, 4 and 5 words
 
 
 def numpy_child(seed, i):
@@ -40,3 +40,10 @@ def test_interleaved_child_rngs_do_not_share_state():
         assert rng_a is not rng_b
         assert_is_numpy_child(rng_b, 2**64 + 3, 20 + i)
         assert_is_numpy_child(rng_a, 7, i)
+
+
+@pytest.mark.parametrize("seed", [3, 2**96 + 5])
+def test_child_rngs_stay_valid_after_the_next_is_drawn(seed):
+    rngs = list(_child_rngs(seed, range(50)))
+    for i, rng in enumerate(rngs):
+        assert_is_numpy_child(rng, seed, i)
