@@ -132,7 +132,7 @@ def monotonicity_check(
     is the caller's claim to assert.  Both verdicts allow ``MONOTONE_TOL``.
     """
     ks = None
-    if measure == "k":
+    if _require_measure(measure) == "k":
         if observable is None:
             raise DimensionMismatch("measure 'k' needs an observable")
         if not observable.dim == ch.dim_out == rho.dim:
@@ -142,16 +142,19 @@ def monotonicity_check(
     return _verdicts(ch.operators[None], *state, measure, ks)[0]
 
 
-def _coherence(measure: str, ks=None):
-    """``coherence(w, v, owners, mat)`` of a validated stack under ``measure``: ``"skew"``, or
-    ``"k"`` with the observable ``ks[owners[j]]`` for entry ``j`` and the matrices ``mat``,
-    rebuilt from ``(w, v)`` when not given; any other name raises ``DimensionMismatch``."""
+def _require_measure(measure: str) -> str:
+    """``measure`` if it is ``"skew"`` or ``"k"``, else ``DimensionMismatch``."""
+    if measure not in ("skew", "k"):
+        raise DimensionMismatch(f"unknown measure {measure!r}")
+    return measure
+
+
+def _coherence(measure: str, w, v, ks, mat=None) -> np.ndarray:
+    """c_skew of each validated state ``(w[j], v[j])``, or for ``"k"`` its k_coherence under the
+    observable ``ks[j]``, with the matrices ``mat`` rebuilt from the spectra when not given."""
     if measure == "skew":
-        return lambda w, v, owners, mat=None: _c_skew_of(w, v)
-    if measure == "k":
-        return lambda w, v, owners, mat=None: _k_of(
-            _from_spectrum(w, v) if mat is None else mat, w, v, ks[owners])
-    raise DimensionMismatch(f"unknown measure {measure!r}")
+        return _c_skew_of(w, v)
+    return _k_of(_from_spectrum(w, v) if mat is None else mat, w, v, ks)
 
 
 def _verdicts(ops, mat, w, v, measure: str, ks) -> list:
@@ -161,25 +164,24 @@ def _verdicts(ops, mat, w, v, measure: str, ks) -> list:
     operators ends in zero operators, whose outcomes fall below
     ``OUTCOME_TOL`` and whose terms add zeros after the real ones, so each
     verdict keeps the bits of its channel alone.  ``ks[j]`` is the observable
-    of state ``j`` for the ``"k"`` measure.  The outcomes of all states are
-    validated as one stack, and so are the channel outputs; the average over
-    outcomes is a Python sum in outcome order.
+    of state ``j`` for the ``"k"`` measure.  The channel outputs of all states
+    and their kept outcomes are validated as one stack, and one coherence call
+    scores it; the average over outcomes is a Python sum in outcome order.
     """
-    coherence = _coherence(measure, ks)
+    m = len(ops)
     terms = _terms(ops, mat[:, None])
     probs = terms.trace(axis1=-2, axis2=-1).real
     kept = probs >= OUTCOME_TOL
-    outcomes = _spectrum(terms[kept] / probs[kept, None, None])
-    after = _spectrum(terms.sum(axis=1))
-    samples = np.arange(len(ops))
-    c_before = coherence(w, v, samples, mat).tolist()
-    c_after = coherence(*after, samples).tolist()
+    stack = np.concatenate([terms.sum(axis=1), terms[kept] / probs[kept, None, None]])
+    owners = np.concatenate([np.arange(m), np.nonzero(kept)[0]])  # the state of each entry
+    c_out = _coherence(measure, *_spectrum(stack), ks if ks is None else ks[owners])
+    c_before = _coherence(measure, w, v, ks, mat).tolist()
     weighted = np.zeros(probs.shape)  # p C of each kept outcome, 0.0 (adds nothing) elsewhere
-    weighted[kept] = probs[kept] * coherence(*outcomes, np.nonzero(kept)[0])
+    weighted[kept] = probs[kept] * c_out[m:]
     c_avg = [sum(row) for row in weighted.tolist()]
     return [
         MonotonicityVerdict(b, a, f, strong_ok=a <= b + MONOTONE_TOL, weak_ok=f <= b + MONOTONE_TOL)
-        for b, a, f in zip(c_before, c_avg, c_after)
+        for b, a, f in zip(c_before, c_avg, c_out[:m].tolist())
     ]
 
 
@@ -284,7 +286,7 @@ def monotonicity_sweep(measure: str, samples: int, dim: int, seed: int) -> list:
     checked before anything is drawn.
     """
     seed = _seed(seed)
-    _coherence(measure)
+    _require_measure(measure)
     samples, dim = _index(samples), _dim(dim)
     if samples < 0:
         raise NegativeCount(f"sample count {samples} is negative")

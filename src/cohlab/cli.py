@@ -145,6 +145,8 @@ def cmd_monotonicity(args) -> int:
 
 def cmd_discord(args) -> int:
     if args.fixture:
+        if args.input is not None or args.dims is not None:
+            raise ParseError("discord takes --fixture or --input and --dims, not both")
         rho, dims = _lookup(DISCORD_FIXTURES, args.fixture)()["rho_f"], (2, 2)
     else:
         if not args.input or not args.dims:

@@ -21,7 +21,7 @@ import numpy as np
 from .channels import KrausChannel, apply, is_incoherent, validate_channel
 from .coherence import c_skew, check_unitary
 from .errors import DimensionMismatch, NegativeCount, NotIncoherentChannel
-from .linalg import DensityMatrix, _frozen, _index, _subsystem_dims, sqrtm, tensor
+from .linalg import DensityMatrix, _frozen, _index, _partial_trace, _subsystem_dims, sqrtm, tensor
 from .rand import as_rng
 
 CONVERGENCE_GAP = 1e-5
@@ -91,12 +91,11 @@ def _starts(s, dims, restarts, seed, sym):
     exponentiated by one stacked ``eigh`` per subsystem.
     """
     (da, db), rng = dims, as_rng(seed)
-    t = s.reshape(da, db, da, db)
     x = rng.normal(0.0, np.pi / 2.0, size=(max(restarts - 2, 0), da * da + (db * db if sym else 0)))
-    ua = np.concatenate([[np.eye(da), np.linalg.eigh(np.einsum("abcb->ac", t))[1]],
+    ua = np.concatenate([[np.eye(da), np.linalg.eigh(_partial_trace(s, dims, [0]))[1]],
                          _unitaries(x[:, : da * da], da)])
     if sym:
-        ub = np.concatenate([[np.eye(db), np.linalg.eigh(np.einsum("abad->bd", t))[1]],
+        ub = np.concatenate([[np.eye(db), np.linalg.eigh(_partial_trace(s, dims, [1]))[1]],
                              _unitaries(x[:, da * da :], db)])
     else:
         ub = np.repeat(np.eye(db, dtype=complex)[None], len(ua), 0)

@@ -251,11 +251,16 @@ def partial_trace(rho: DensityMatrix, dims, keep) -> DensityMatrix:
     keep = sorted({_index(k, n) for k in (keep if np.iterable(keep) else [keep])})
     if not keep:
         raise DimensionMismatch("keep names no subsystem")
-    t = rho.mat.reshape(dims + dims)
-    for idx in sorted(set(range(n)) - set(keep), reverse=True):
-        t = np.trace(t, axis1=idx, axis2=idx + t.ndim // 2)
+    return validate_density(_partial_trace(rho.mat, dims, keep))
+
+
+def _partial_trace(mat: np.ndarray, dims: tuple, keep) -> np.ndarray:
+    """Unvalidated ``partial_trace`` of a matrix or each in a stack onto the sorted ``keep``."""
+    t = mat.reshape(-1, *dims, *dims)
+    for idx in sorted(set(range(len(dims))) - set(keep), reverse=True):  # highest index first
+        t = np.trace(t, axis1=1 + idx, axis2=(t.ndim + 1) // 2 + idx)
     d_keep = math.prod(dims[k] for k in keep)
-    return validate_density(t.reshape(d_keep, d_keep))
+    return t.reshape(mat.shape[:-2] + (d_keep, d_keep))
 
 
 def pure_state(vec) -> DensityMatrix:

@@ -154,6 +154,9 @@ def estimate_measures(
     its own child generator so estimates are reproducible per power.
     """
     seed = _seed(seed)
+    shots_per_power = _index(shots_per_power)
+    if shots_per_power < 1:  # checked even when no power is sampled, as the seed is
+        raise DimensionMismatch("need at least one shot")
     nd = rho.dim
     if exact_powers:
         records, est = [], exact_trace_powers(rho, nd)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .coherence import _c_skew_of, c_skew
 from .errors import BadPartition, NegativeCount, NotPure
-from .linalg import RANK_TOL, DensityMatrix, _chunks, _clean_spectrum, _dims, _index
+from .linalg import RANK_TOL, DensityMatrix, _chunks, _clean_spectrum, _dims, _index, _partial_trace
 from .linalg import _spectrum, _subsystem_dims, _validated, partial_trace, validate_density
 from .rand import _child_rngs, _normalized_gram, _seed, child_rng
 
@@ -109,19 +109,16 @@ class PolygamyRecord:
 
 
 def _records(mat: np.ndarray, w: np.ndarray, v: np.ndarray, dims) -> list:
-    """Records of a stack of validated states ``(mat, w, v)``, one call per step."""
-    da, db = dims
-    t = mat.reshape(-1, da, db, da, db)
-    coherences = [_c_skew_of(w, v)]
-    for axis in (2, 1):  # trace out B, then A
-        coherences.append(_c_skew_of(*_spectrum(np.trace(t, axis1=axis, axis2=axis + 2))))
+    """Records of a stack of validated ``dims`` states ``(mat, w, v)``, one call per step."""
+    coherences = [_c_skew_of(w, v)]  # then of the marginals on A and on B
+    coherences += [_c_skew_of(*_spectrum(_partial_trace(mat, dims, [k]))) for k in (0, 1)]
     ranks, sum_a, sum_b = _eigenstate_marginal_coherences(w, v, dims)
     d = mat.diagonal(axis1=-2, axis2=-1).real
     diag_sq = (d[..., None, :] @ d[..., :, None])[..., 0, 0]
     lambda_min = np.where(w > RANK_TOL, w, np.inf).min(axis=-1)
     columns = [c.tolist() for c in coherences + [lambda_min, ranks, sum_a, sum_b, diag_sq, w]]
     return [
-        PolygamyRecord((da, db), c_ab, c_a, c_b, (1.0 - c_a) * (1.0 - c_b) - (1.0 - c_ab),
+        PolygamyRecord(dims, c_ab, c_a, c_b, (1.0 - c_a) * (1.0 - c_b) - (1.0 - c_ab),
                        lam, r, s_a, s_b, (r - s_a) * (r - s_b), dsq, tuple(eigenvalues))
         for c_ab, c_a, c_b, lam, r, s_a, s_b, dsq, eigenvalues in zip(*columns)
     ]

@@ -382,6 +382,21 @@ def test_check_rejects_k_without_observable_and_unknown_measures():
         monotonicity_check(channel, rho, measure="l1")
 
 
+@pytest.mark.parametrize("measure", ["skew", "k"])
+def test_a_chunk_eigendecomposes_its_states_then_its_outputs_and_outcomes(measure, monkeypatch):
+    # the input states, then the channel outputs followed by the kept outcomes
+    eigh, matrices = np.linalg.eigh, []
+
+    def counted(a, *args, **kwargs):
+        matrices.append(int(np.prod(np.shape(a)[:-2])))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    n = 20  # one chunk at d = 3
+    assert len(monotonicity_sweep(measure, n, 3, 6)) == n
+    assert len(matrices) == 2 and matrices[0] == n and matrices[1] > n
+
+
 @pytest.mark.parametrize("samples", [0, 5])
 def test_sweep_rejects_an_unknown_measure_before_drawing(samples, monkeypatch):
     def no_draws(*args):

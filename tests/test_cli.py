@@ -370,6 +370,14 @@ def test_discord_requires_input_or_fixture():
     assert code == 2
 
 
+@pytest.mark.parametrize("extra", [["--input", "PLUS"], ["--dims", "2x2"]], ids=["input", "dims"])
+def test_discord_rejects_a_fixture_with_an_input_or_dims(extra, plus_file):
+    argv = ["discord", "--fixture", "theorem3-cnot"] + extra
+    code, out = run_cli([plus_file if a == "PLUS" else a for a in argv])
+    assert code == 2
+    assert json.loads(out)["error"] == "ParseError"
+
+
 @pytest.mark.parametrize("argv", [
     ["fixture", "nope"],
     ["discord", "--fixture", "nope"],
@@ -408,6 +416,14 @@ def test_simulate_measure_deterministic(plus_file):
     res = json.loads(out1)
     assert res["estimates"]["swap_settings"] == 1
     assert res["true"]["c_rel"] == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("shots", ["-5", "0"])
+def test_simulate_measure_checks_shots_with_exact_powers(shots, plus_file):
+    code, out = run_cli(["simulate-measure", "--input", plus_file, "--shots", shots,
+                         "--exact-powers"])
+    assert code == 2
+    assert json.loads(out) == {"error": "DimensionMismatch", "detail": "need at least one shot"}
 
 
 def test_env_seed_override(plus_file, monkeypatch):

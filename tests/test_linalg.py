@@ -37,10 +37,10 @@ from cohlab.errors import (
     NotUnitTrace,
 )
 from cohlab.fixtures import COUNTEREXAMPLE_RHO
-from cohlab.linalg import CHUNK_ENTRIES, _chunks
+from cohlab.linalg import CHUNK_ENTRIES, _chunks, _partial_trace
 from cohlab.rand import as_rng
 
-from oracles import psd_sqrt
+from oracles import _reduced, psd_sqrt
 
 
 def test_validate_maximally_mixed_qubit():
@@ -234,6 +234,19 @@ def test_partial_trace_keeps_trace_one():
         rho = ginibre_mixed(6, child_rng(300, i))
         red = partial_trace(rho, [2, 3], [1])
         assert abs(red.mat.trace().real - 1.0) < 1e-10
+
+
+@pytest.mark.parametrize("dims, keep", [
+    ((2, 3), [0]), ((2, 3), [1]),
+    *[(dims, keep) for dims in [(2, 2, 3), (2, 3, 2)] for keep in [[0], [1], [0, 2], [1, 2]]],
+])
+def test_stacked_partial_trace_matches_each_matrix_and_the_einsum_oracle(dims, keep):
+    # tolerance set beforehand: each entry sums at most 6 entries of a unit-trace matrix
+    mats = np.stack([ginibre_mixed(int(np.prod(dims)), child_rng(310, i)).mat for i in range(8)])
+    stacked = _partial_trace(mats, dims, keep)
+    for mat, reduced in zip(mats, stacked):
+        assert reduced.tobytes() == _partial_trace(mat, dims, keep).tobytes()
+        assert np.abs(reduced - _reduced(mat, dims, keep)).max() <= 1e-15
 
 
 def test_partial_trace_dimension_check():

@@ -193,8 +193,13 @@ def test_cost_accounting():
     lambda rho: estimate_measures(rho, 2.5, 0),
     lambda rho: estimate_measures(rho, 100, 0, diag_shots=0),
     lambda rho: estimate_measures(rho, 100, 0, diag_shots=2.5),
+    lambda rho: estimate_measures(rho, -7, 0, exact_powers=True),
+    lambda rho: estimate_measures(rho, 0, 0, exact_powers=True),
+    lambda rho: estimate_measures(rho, 2.5, 0, exact_powers=True),
+    lambda rho: estimate_measures(validate_density([[1.0]]), 0, 0),
 ], ids=["shots-float", "power-float", "shots-zero", "max-n-float", "max-n-zero",
-        "estimate-shots-float", "diag-shots-zero", "diag-shots-float"])
+        "estimate-shots-float", "diag-shots-zero", "diag-shots-float",
+        "exact-shots-negative", "exact-shots-zero", "exact-shots-float", "one-level-shots-zero"])
 def test_counts_are_positive_integers(call):
     with pytest.raises(DimensionMismatch):
         call(ginibre_mixed(3, 1))
