@@ -7,14 +7,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coherence import Observable, _c_skew_of, _k_of
-from .errors import (
-    DimensionMismatch,
-    IncompleteChannel,
-    InfeasiblePattern,
-    NegativeCount,
-)
-from .linalg import DensityMatrix, _chunks, _dim, _frozen, _from_spectrum, _hermitian
-from .linalg import _hermitian_part, _index, _numeric, _require_finite, _spectrum, _validated
+from .errors import DimensionMismatch, IncompleteChannel
+from .linalg import DensityMatrix, _chunks, _count, _dim, _frozen, _from_spectrum, _hermitian
+from .linalg import _hermitian_part, _numeric, _require_finite, _spectrum, _validated
 from .linalg import validate_density
 from .rand import _child_rngs, _normalized_gram, _seed, as_rng
 
@@ -52,13 +47,14 @@ def completeness_residual(ops) -> float:
 
 def _residuals(ops: np.ndarray) -> np.ndarray:
     """``completeness_residual`` of the Kraus stack ``ops``, or of each in a stack of them."""
-    gram = (ops.conj().swapaxes(-1, -2) @ ops).sum(axis=-3)
-    return np.abs(gram - np.eye(ops.shape[-1])).max(axis=(-2, -1))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing set gives inf or NaN
+        gram = (ops.conj().swapaxes(-1, -2) @ ops).sum(axis=-3)
+        return np.abs(gram - np.eye(ops.shape[-1])).max(axis=(-2, -1))
 
 
 def _require_complete(ops: np.ndarray):
     res = float(_residuals(ops).max())
-    if res > COMPLETENESS_ATOL:
+    if not res <= COMPLETENESS_ATOL:  # a NaN residual fails too
         raise IncompleteChannel(f"completeness residual {res:.3e} exceeds {COMPLETENESS_ATOL:.1e}")
 
 
@@ -194,9 +190,7 @@ def random_incoherent_channel(dim: int, n_kraus: int, rng) -> KrausChannel:
     draw: it normalizes each column across operators, which enforces
     completeness exactly while preserving the single-entry columns.
     """
-    dim, n_kraus = _dim(dim), _index(n_kraus)
-    if n_kraus < 1:
-        raise InfeasiblePattern("need at least one Kraus operator")
+    dim, n_kraus = _dim(dim), _count(n_kraus, 1, "Kraus count")
     draw = _draw(as_rng(rng), np.tile(np.arange(dim), (n_kraus, 1)))
     return KrausChannel(_frozen(_incoherent_ops(*_channel_draws([draw], dim))[0]))
 
@@ -250,9 +244,8 @@ def random_channel(dim: int, n_kraus: int, rng) -> KrausChannel:
 
     Ginibre blocks normalized jointly by (sum_n A_n^dag A_n)^(-1/2).
     """
-    dim, n_kraus = _dim(dim), _index(n_kraus)
-    if n_kraus < 1:  # before normalize_kraus divides by the empty sum
-        raise IncompleteChannel("channel needs at least one Kraus operator")
+    # checked before normalize_kraus divides by the empty sum
+    dim, n_kraus = _dim(dim), _count(n_kraus, 1, "Kraus count")
     # block n draws its real then its imaginary part, as _complex_normal does
     g = as_rng(rng).standard_normal((n_kraus, 2, dim, dim))
     return validate_channel(normalize_kraus(g[:, 0] + 1j * g[:, 1]))
@@ -287,9 +280,7 @@ def monotonicity_sweep(measure: str, samples: int, dim: int, seed: int) -> list:
     """
     seed = _seed(seed)
     _require_measure(measure)
-    samples, dim = _index(samples), _dim(dim)
-    if samples < 0:
-        raise NegativeCount(f"sample count {samples} is negative")
+    samples, dim = _count(samples, 0, "sample count"), _dim(dim)
     tiles = [np.tile(np.arange(dim), (nk, 1)) for nk in range(dim + 2)]  # nk rows of arange(dim)
     factors = 2 if measure == "k" else 1  # the Ginibre factor, then the observable's
     tail = factors * 2 * dim * dim  # their complex normals, real parts before imaginary parts

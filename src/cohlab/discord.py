@@ -20,8 +20,9 @@ import numpy as np
 
 from .channels import KrausChannel, apply, is_incoherent, validate_channel
 from .coherence import c_skew, check_unitary
-from .errors import DimensionMismatch, NegativeCount, NotIncoherentChannel
-from .linalg import DensityMatrix, _frozen, _index, _partial_trace, _subsystem_dims, sqrtm, tensor
+from .errors import DimensionMismatch, NotIncoherentChannel
+from .linalg import DensityMatrix, _count, _frozen, _index, _partial_trace, _subsystem_dims, sqrtm
+from .linalg import tensor
 from .rand import as_rng
 
 CONVERGENCE_GAP = 1e-5
@@ -140,9 +141,7 @@ def _sweep(m, ua, ub, kept, active):
 def _solve(rho_ab, dims, restarts, seed, sym) -> DiscordResult:
     """Sweep every start as one stack; the best restart, its value recomputed from its bases."""
     da, db = _subsystem_dims(rho_ab, dims, 2)
-    restarts = _index(restarts)
-    if restarts < 1:
-        raise NegativeCount(f"restart count {restarts} is below 1")
+    restarts = _count(restarts, 1, "restart count")
     s = sqrtm(rho_ab)
     ua, ub = _starts(s, (da, db), restarts, seed, sym)
     w = np.einsum("rac,rbd->rabcd", ua, ub).reshape(len(ua), da * db, da * db)
@@ -167,7 +166,8 @@ def _solve(rho_ab, dims, restarts, seed, sym) -> DiscordResult:
 def discord_sym(rho_ab: DensityMatrix, dims, restarts: int = 32, seed: int = 0) -> DiscordResult:
     """Symmetric discord: minimal joint coherence over local product bases.
 
-    The ``restarts`` starts (at least 1, else ``NegativeCount``) are swept together; each
+    The ``restarts`` starts (an integer count of at least 1: a non-integer raises
+    ``DimensionMismatch`` and 0 or less ``NegativeCount``) are swept together; each
     stops after ``MAX_SWEEPS`` sweeps or a sweep that raises its summed squared diagonal by
     at most ``SWEEP_TOL``.  ``converged`` needs at least two restarts whose best two agree.
     """

@@ -33,16 +33,12 @@ class IncompleteChannel(CohlabError):
     """Kraus operators do not sum to the identity."""
 
 
-class InfeasiblePattern(CohlabError):
-    """A random incoherent channel was asked for fewer than one Kraus operator."""
-
-
 class NotPure(CohlabError):
     """State purity is below the pure-state threshold."""
 
 
 class NegativeCount(CohlabError):
-    """A sample count or a seed is negative, or a restart count is below 1."""
+    """A count or a seed is below its least value."""
 
 
 class BadPartition(CohlabError):

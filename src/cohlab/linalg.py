@@ -17,6 +17,7 @@ import numpy as np
 from .errors import (
     ConvergenceFailure,
     DimensionMismatch,
+    NegativeCount,
     NotFinite,
     NotHermitian,
     NotPSD,
@@ -156,6 +157,15 @@ def _index(k, stop: int | None = None) -> int:
     if stop is not None and not 0 <= k < stop:
         raise DimensionMismatch(f"index {k} is outside range({stop})")
     return k
+
+
+def _count(n, least: int, what: str) -> int:
+    """``n`` as a Python int by the ``_index`` rule, the one rule for counts and seeds: a value
+    below ``least`` raises ``NegativeCount`` ("{what} {n} is negative" when ``least`` is 0)."""
+    n = _index(n)
+    if n < least:
+        raise NegativeCount(f"{what} {n} is " + ("negative" if least == 0 else f"below {least}"))
+    return n
 
 
 def _dim(dim) -> int:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .coherence import _entropy_bits, _skew_sandwich, c_l2, c_rel_entropy
 from .errors import DimensionMismatch
-from .linalg import DensityMatrix, _frozen, _index, _numeric, _require_finite
+from .linalg import DensityMatrix, _count, _frozen, _numeric, _require_finite
 from .rand import _seed, as_rng, child_rng
 
 IMAG_TOL = 1e-6
@@ -26,11 +26,8 @@ WELL_CONDITIONED_DIM = 6
 
 def exact_trace_powers(rho: DensityMatrix, max_n: int) -> np.ndarray:
     """[Tr rho, Tr rho^2, ..., Tr rho^max_n] from the stored spectrum."""
-    max_n = _index(max_n)
-    if max_n < 1:
-        raise DimensionMismatch("max_n must be at least 1")
     w = rho.eigenvalues
-    return np.array([float(np.sum(w**n)) for n in range(1, max_n + 1)])
+    return np.array([float(np.sum(w**n)) for n in range(1, _count(max_n, 1, "max_n") + 1)])
 
 
 @dataclass(frozen=True)
@@ -52,11 +49,7 @@ class ShotRecord:
 
 def simulate_shots(rho: DensityMatrix, n: int, shots: int, rng) -> ShotRecord:
     """Sample the probe's +1 count: Binomial(shots, (1 + Tr rho^n)/2)."""
-    n, shots = _index(n), _index(shots)
-    if n < 2:
-        raise DimensionMismatch("probe powers start at n = 2")
-    if shots < 1:
-        raise DimensionMismatch("need at least one shot")
+    n, shots = _count(n, 2, "probe power"), _count(shots, 1, "shot count")
     p_plus = float(np.clip((1.0 + np.sum(rho.eigenvalues**n)) / 2.0, 0.0, 1.0))
     plus = int(as_rng(rng).binomial(shots, p_plus))
     return ShotRecord(power=n, shots=shots, plus_count=plus)
@@ -154,9 +147,8 @@ def estimate_measures(
     its own child generator so estimates are reproducible per power.
     """
     seed = _seed(seed)
-    shots_per_power = _index(shots_per_power)
-    if shots_per_power < 1:  # checked even when no power is sampled, as the seed is
-        raise DimensionMismatch("need at least one shot")
+    # checked even when no power is sampled, as the seed is
+    shots_per_power = _count(shots_per_power, 1, "shot count")
     nd = rho.dim
     if exact_powers:
         records, est = [], exact_trace_powers(rho, nd)
@@ -167,9 +159,7 @@ def estimate_measures(
 
     diag = rho.diag().copy()
     if diag_shots is not None:
-        diag_shots = _index(diag_shots)
-        if diag_shots < 1:
-            raise DimensionMismatch("need at least one diagonal shot")
+        diag_shots = _count(diag_shots, 1, "diagonal shot count")
         counts = child_rng(seed, 0).multinomial(diag_shots, diag / diag.sum())
         diag = counts / diag_shots
 

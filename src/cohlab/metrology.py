@@ -15,8 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coherence import _skew_per_k, c_skew, skew_info
-from .errors import DimensionMismatch
-from .linalg import DensityMatrix, _index
+from .linalg import DensityMatrix, _count, _index
 
 SPECTRAL_CUTOFF = 1e-12
 SANDWICH_TOL = 1e-9
@@ -75,9 +74,7 @@ def metrology_report(rho: DensityMatrix, n_runs: int) -> MetrologyReport:
     Fisher information carry infinite variance, are flagged, and drop out of
     the inverse-variance sum (their contribution is genuinely zero).
     """
-    n_runs = _index(n_runs)
-    if n_runs < 1:
-        raise DimensionMismatch("n_runs must be at least 1")
+    n_runs = _count(n_runs, 1, "run count")
     n = float(n_runs)
     coh = c_skew(rho)
     ratio = _qfi_ratio(rho.eigenvalues)

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coherence import _c_skew_of, c_skew
-from .errors import BadPartition, NegativeCount, NotPure
-from .linalg import RANK_TOL, DensityMatrix, _chunks, _clean_spectrum, _dims, _index, _partial_trace
+from .errors import BadPartition, NotPure
+from .linalg import RANK_TOL, DensityMatrix, _chunks, _clean_spectrum, _count, _dims, _partial_trace
 from .linalg import _spectrum, _subsystem_dims, _validated, partial_trace, validate_density
 from .rand import _child_rngs, _normalized_gram, _seed, child_rng
 
@@ -224,9 +224,7 @@ def sweep_polygamy(dims, n_samples: int, seed: int) -> list:
     """
     seed = _seed(seed)
     da, db = _dims(dims, 2)
-    n_samples = _index(n_samples)
-    if n_samples < 0:
-        raise NegativeCount(f"sample count {n_samples} is negative")
+    n_samples = _count(n_samples, 0, "sample count")
     dim = da * db
     records = []
     for chunk in _chunks(n_samples, dim * dim):
@@ -255,14 +253,13 @@ def find_qubit_violations(seed: int, n_trials: int = 50) -> list:
 
     Trial 0 is the unperturbed fixture; later trials jitter the mixing weight
     and the component vectors.  Returns (trial index, record) pairs with a
-    strictly negative pure-form gap.  A negative seed or ``n_trials`` raises
-    ``NegativeCount`` and a non-integer one ``DimensionMismatch``.
+    strictly negative pure-form gap.  ``seed`` and ``n_trials`` are counts of at
+    least 0: a non-integer raises ``DimensionMismatch`` and a negative one
+    ``NegativeCount``.
     """
     from .fixtures import qubit_mixture_counterexample
 
-    seed, n_trials = _seed(seed), _index(n_trials)
-    if n_trials < 0:
-        raise NegativeCount(f"trial count {n_trials} is negative")
+    seed, n_trials = _seed(seed), _count(n_trials, 0, "trial count")
     base = qubit_mixture_counterexample()
     found = []
     for i in range(n_trials):

@@ -13,17 +13,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NegativeCount
-from .linalg import DensityMatrix, _dim, _hermitian_part, _index, pure_state, validate_density
+from .linalg import DensityMatrix, _count, _dim, _hermitian_part, pure_state, validate_density
 
 
 def _seed(seed) -> int:
-    """``seed`` as a non-negative Python int, the one seed rule: what ``_index`` refuses raises
-    ``DimensionMismatch``, a negative seed ``NegativeCount``."""
-    seed = _index(seed)
-    if seed < 0:
-        raise NegativeCount(f"seed {seed} is negative")
-    return seed
+    """``seed`` as a non-negative Python int by the ``_count`` rule, the one seed rule."""
+    return _count(seed, 0, "seed")
 
 
 def as_rng(seed_or_rng) -> np.random.Generator:

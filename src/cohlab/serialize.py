@@ -24,7 +24,16 @@ def matrix_to_obj(mat) -> dict:
     return {"re": m.real.tolist(), "im": m.imag.tolist()}
 
 
-def _obj_matrix(obj, square: bool = True) -> np.ndarray:
+def _require_dims(obj: dict, keys, shape):
+    """Raise ``ParseError`` unless each of ``keys`` that ``obj`` declares is a JSON integer equal
+    to its entry of ``shape``."""
+    for key, n in zip(keys, shape):
+        if key in obj and (type(obj[key]) is not int or obj[key] != n):  # bool is not int here
+            raise ParseError(f"declared {key} {obj[key]!r} does not match shape {shape}")
+
+
+def _obj_matrix(obj, dims=("dim", "dim")) -> np.ndarray:
+    """The complex matrix of ``obj``, whose declared ``dims`` keys must match its shape."""
     try:
         re = np.array(obj["re"], dtype=float)
         im = np.array(obj["im"], dtype=float)
@@ -32,8 +41,7 @@ def _obj_matrix(obj, square: bool = True) -> np.ndarray:
         raise ParseError(f"matrix object needs rectangular 're' and 'im': {exc}") from exc
     if re.shape != im.shape or re.ndim != 2:
         raise ParseError(f"'re' shape {re.shape} and 'im' shape {im.shape} disagree")
-    if "dim" in obj and square and re.shape != (obj["dim"],) * 2:
-        raise ParseError(f"declared dim {obj['dim']!r} does not match shape {re.shape}")
+    _require_dims(obj, dims, re.shape)
     return np.stack((re, im), axis=-1).view(complex)[..., 0]  # re + 1j * inf warns on 0 * inf
 
 
@@ -78,7 +86,9 @@ def write_channel(path: str, ch: KrausChannel):
 def read_channel(path: str) -> KrausChannel:
     obj = load_json(path)
     try:
-        ops = [_obj_matrix(o, square=False) for o in obj["ops"]]
+        ops = [_obj_matrix(o, dims=()) for o in obj["ops"]]
     except (KeyError, TypeError) as exc:
         raise ParseError(f"channel object needs an 'ops' list: {exc}") from exc
+    for op in ops:  # each op is (dim_out, dim_in)
+        _require_dims(obj, ("dim_out", "dim_in"), op.shape)
     return validate_channel(ops)

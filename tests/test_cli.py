@@ -16,6 +16,7 @@ import cohlab
 from cohlab import ginibre_mixed, maximally_coherent, random_incoherent_channel
 from cohlab.rand import random_hermitian
 from cohlab import cli
+from cohlab.channels import COMPLETENESS_ATOL, completeness_residual
 from cohlab.cli import main
 from cohlab.errors import CohlabError, NotUnitTrace, ParseError, UnknownFixture
 from cohlab.fixtures import FIXTURE_NAMES, fixture_report
@@ -96,22 +97,46 @@ _STATE_LIKE = st.fixed_dictionaries({"re": _ROWS | _JSON, "im": _ROWS | _JSON},
                                     optional={"dim": _JSON | st.integers(0, 3)})
 
 
+_CHANNEL_LIKE = st.fixed_dictionaries(
+    {"ops": st.lists(st.fixed_dictionaries({"re": _ROWS | _JSON, "im": _ROWS | _JSON}),
+                     max_size=2) | _JSON},
+    optional={"dim_in": _JSON | st.integers(0, 3), "dim_out": _JSON | st.integers(0, 3)},
+)
+
+
+def _read_dumped(read, obj):
+    """``read`` of a temporary file that holds ``obj`` as JSON."""
+    fd, path = tempfile.mkstemp(suffix=".json")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            json.dump(obj, fh)
+        return read(path)
+    finally:
+        os.remove(path)
+
+
 @settings(max_examples=200, deadline=None)
 @given(_STATE_LIKE | _JSON)
 @example({"re": [[None, None, 0.0]], "im": [[None, None, float("inf")]]})  # 1j * inf warned
 def test_read_state_raises_only_cohlab_errors(obj):
     # the wrong types, ragged rows and non-dict roots that state files can hold
-    fd, path = tempfile.mkstemp(suffix=".json")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(obj, fh)
-        try:
-            rho = read_state(path)
-        except CohlabError:
-            return
-        assert np.isfinite(rho.mat).all() and abs(rho.mat.trace() - 1.0) < 1e-9
-    finally:
-        os.remove(path)
+        rho = _read_dumped(read_state, obj)
+    except CohlabError:
+        return
+    assert np.isfinite(rho.mat).all() and abs(rho.mat.trace() - 1.0) < 1e-9
+
+
+@settings(max_examples=200, deadline=None)
+@given(_CHANNEL_LIKE | _JSON)
+@example({"ops": [{"re": [[1e155, 0.0], [0.0, 1.0]], "im": [[1e155, 0.0], [0.0, 0.0]]}]})
+def test_read_channel_raises_only_cohlab_errors(obj):
+    # the 1e155 example overflowed sum M^dag M to a NaN residual and loaded
+    try:
+        ch = _read_dumped(read_channel, obj)
+    except CohlabError:
+        return
+    assert completeness_residual(ch.operators) <= COMPLETENESS_ATOL
 
 
 def test_compute_plus_state(plus_file):
@@ -169,7 +194,7 @@ def test_compute_non_finite_exits_2(tmp_path, entries):
     assert err["detail"]
 
 
-@pytest.mark.parametrize("dim", ["x", None, [2]])
+@pytest.mark.parametrize("dim", ["x", None, [2], 2.0])
 def test_compute_non_integer_dim_exits_2(tmp_path, dim):
     path = tmp_path / "bad_dim.json"
     path.write_text(json.dumps({"dim": dim, "re": [[0.5, 0.0], [0.0, 0.5]],
@@ -177,6 +202,16 @@ def test_compute_non_integer_dim_exits_2(tmp_path, dim):
     code, out = run_cli(["compute", "--input", str(path)])
     assert code == 2
     assert json.loads(out)["error"] == "ParseError"
+
+
+@pytest.mark.parametrize("read,obj", [
+    (read_state, {"dim": True, "re": [[1.0]], "im": [[0.0]]}),
+    (read_channel, {"dim_in": 3, "dim_out": 2, "ops": [matrix_to_obj(np.eye(2))]}),
+    (read_channel, {"dim_in": 2, "dim_out": 2.0, "ops": [matrix_to_obj(np.eye(2))]}),
+], ids=["state-dim-true", "channel-dim-in-wrong", "channel-dim-out-float"])
+def test_readers_reject_declared_dims_that_are_not_the_shape(read, obj):
+    with pytest.raises(ParseError, match="declared"):
+        _read_dumped(read, obj)
 
 
 def test_compute_non_finite_result_exits_2(tmp_path, plus_file):
@@ -423,7 +458,7 @@ def test_simulate_measure_checks_shots_with_exact_powers(shots, plus_file):
     code, out = run_cli(["simulate-measure", "--input", plus_file, "--shots", shots,
                          "--exact-powers"])
     assert code == 2
-    assert json.loads(out) == {"error": "DimensionMismatch", "detail": "need at least one shot"}
+    assert json.loads(out) == {"error": "NegativeCount", "detail": f"shot count {shots} is below 1"}
 
 
 def test_env_seed_override(plus_file, monkeypatch):

@@ -37,7 +37,7 @@ from cohlab.errors import (
     NotUnitTrace,
 )
 from cohlab.fixtures import COUNTEREXAMPLE_RHO
-from cohlab.linalg import CHUNK_ENTRIES, _chunks, _partial_trace
+from cohlab.linalg import CHUNK_ENTRIES, _chunks, _count, _partial_trace
 from cohlab.rand import as_rng
 
 from oracles import _reduced, psd_sqrt
@@ -304,6 +304,31 @@ def test_seeds_are_non_negative_integers(call, error):
     # numpy once raised its bare ValueError or TypeError here
     with pytest.raises(error):
         call(maximally_coherent(4))
+
+
+@pytest.mark.parametrize("n,least,outcome", [
+    (0, 0, 0),
+    (np.int64(3), 1, 3),
+    (2, 2, 2),
+    (-1, 0, "count -1 is negative"),
+    (0, 1, "count 0 is below 1"),
+    (1, 2, "count 1 is below 2"),
+    (True, 0, DimensionMismatch),
+    (1.0, 1, DimensionMismatch),
+    ("1", 1, DimensionMismatch),
+    (np.array([1]), 1, DimensionMismatch),
+], ids=["zero-least-0", "numpy-least-1", "at-least-2", "negative-least-0", "zero-least-1",
+        "one-least-2", "bool", "float", "string", "array"])
+def test_count_rule(n, least, outcome):
+    if isinstance(outcome, int):
+        n = _count(n, least, "count")
+        assert type(n) is int and n == outcome
+    elif isinstance(outcome, str):
+        with pytest.raises(NegativeCount, match=f"^{outcome}$"):
+            _count(n, least, "count")
+    else:
+        with pytest.raises(outcome):
+            _count(n, least, "count")
 
 
 def test_seed_rule_passes_generators_and_numpy_integers():

@@ -14,7 +14,7 @@ from cohlab import (
     true_measures,
     validate_density,
 )
-from cohlab.errors import DimensionMismatch, NotFinite
+from cohlab.errors import DimensionMismatch, NegativeCount, NotFinite
 
 from oracles import power_sum_jacobian_inverse_norm
 
@@ -61,7 +61,7 @@ def test_simulate_single_shot():
 
 
 def test_simulate_shots_rejects_bad_power():
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(NegativeCount):
         simulate_shots(ginibre_mixed(2, 0), 1, 10, 0)
 
 
@@ -184,24 +184,24 @@ def test_cost_accounting():
         assert [r.power for r in est.shot_records] == list(range(2, d + 1))
 
 
-@pytest.mark.parametrize("call", [
-    lambda rho: simulate_shots(rho, 2, 2.5, 0),
-    lambda rho: simulate_shots(rho, 2.0, 10, 0),
-    lambda rho: simulate_shots(rho, 2, 0, 0),
-    lambda rho: exact_trace_powers(rho, 1.5),
-    lambda rho: exact_trace_powers(rho, 0),
-    lambda rho: estimate_measures(rho, 2.5, 0),
-    lambda rho: estimate_measures(rho, 100, 0, diag_shots=0),
-    lambda rho: estimate_measures(rho, 100, 0, diag_shots=2.5),
-    lambda rho: estimate_measures(rho, -7, 0, exact_powers=True),
-    lambda rho: estimate_measures(rho, 0, 0, exact_powers=True),
-    lambda rho: estimate_measures(rho, 2.5, 0, exact_powers=True),
-    lambda rho: estimate_measures(validate_density([[1.0]]), 0, 0),
+@pytest.mark.parametrize("call,error", [
+    (lambda rho: simulate_shots(rho, 2, 2.5, 0), DimensionMismatch),
+    (lambda rho: simulate_shots(rho, 2.0, 10, 0), DimensionMismatch),
+    (lambda rho: simulate_shots(rho, 2, 0, 0), NegativeCount),
+    (lambda rho: exact_trace_powers(rho, 1.5), DimensionMismatch),
+    (lambda rho: exact_trace_powers(rho, 0), NegativeCount),
+    (lambda rho: estimate_measures(rho, 2.5, 0), DimensionMismatch),
+    (lambda rho: estimate_measures(rho, 100, 0, diag_shots=0), NegativeCount),
+    (lambda rho: estimate_measures(rho, 100, 0, diag_shots=2.5), DimensionMismatch),
+    (lambda rho: estimate_measures(rho, -7, 0, exact_powers=True), NegativeCount),
+    (lambda rho: estimate_measures(rho, 0, 0, exact_powers=True), NegativeCount),
+    (lambda rho: estimate_measures(rho, 2.5, 0, exact_powers=True), DimensionMismatch),
+    (lambda rho: estimate_measures(validate_density([[1.0]]), 0, 0), NegativeCount),
 ], ids=["shots-float", "power-float", "shots-zero", "max-n-float", "max-n-zero",
         "estimate-shots-float", "diag-shots-zero", "diag-shots-float",
         "exact-shots-negative", "exact-shots-zero", "exact-shots-float", "one-level-shots-zero"])
-def test_counts_are_positive_integers(call):
-    with pytest.raises(DimensionMismatch):
+def test_counts_are_positive_integers(call, error):
+    with pytest.raises(error):
         call(ginibre_mixed(3, 1))
 
 

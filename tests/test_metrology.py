@@ -20,7 +20,7 @@ from cohlab import (
     validate_density,
 )
 
-from cohlab.errors import DimensionMismatch
+from cohlab.errors import DimensionMismatch, NegativeCount
 
 from oracles import qfi_finite_difference
 
@@ -159,9 +159,12 @@ def test_report_builds_the_ratio_once_and_sqrt_diag_at_most_twice(dim, monkeypat
     assert 1 <= calls["sqrt_diag"] <= 2
 
 
-@pytest.mark.parametrize("n_runs", [2.5, "3", True, 0, -1])
-def test_report_rejects_run_counts_that_are_not_positive_integers(n_runs):
-    with pytest.raises(DimensionMismatch):
+@pytest.mark.parametrize("n_runs,error", [
+    (2.5, DimensionMismatch), ("3", DimensionMismatch), (True, DimensionMismatch),
+    (0, NegativeCount), (-1, NegativeCount),
+], ids=["2.5", "3", "True", "0", "-1"])
+def test_report_rejects_run_counts_that_are_not_positive_integers(n_runs, error):
+    with pytest.raises(error):
         metrology_report(maximally_coherent(2), n_runs)
 
 
