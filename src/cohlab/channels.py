@@ -41,8 +41,9 @@ class SelectiveOutcome:
 
 
 def completeness_residual(ops) -> float:
-    """Max-norm distance of sum_n M_n^dag M_n from the identity."""
-    return float(_residuals(np.asarray(ops, dtype=complex)))
+    """Max-norm distance of sum_n M_n^dag M_n from the identity, ``ops`` checked as in
+    ``validate_channel``."""
+    return float(_residuals(_kraus_stack(ops)))
 
 
 def _residuals(ops: np.ndarray) -> np.ndarray:
@@ -58,16 +59,22 @@ def _require_complete(ops: np.ndarray):
         raise IncompleteChannel(f"completeness residual {res:.3e} exceeds {COMPLETENESS_ATOL:.1e}")
 
 
-def validate_channel(ops) -> KrausChannel:
-    """Copy ``ops`` into one frozen stack; operators that are not numeric and 2-D of one shape
-    raise ``DimensionMismatch``, an empty set or one incomplete beyond ``COMPLETENESS_ATOL``
-    ``IncompleteChannel``."""
-    ops = _numeric(ops, complex, "expected numeric Kraus operators of one shape").copy()
+def _kraus_stack(ops) -> np.ndarray:
+    """``ops`` as a finite complex ``(n, d_out, d_in)`` stack; operators that are not numeric
+    and 2-D of one shape raise ``DimensionMismatch``, an empty set ``IncompleteChannel``."""
+    ops = _numeric(ops, complex, "expected numeric Kraus operators of one shape")
     if ops.shape[:1] == (0,):
         raise IncompleteChannel("channel needs at least one Kraus operator")
     if ops.ndim != 3 or 0 in ops.shape:
         raise DimensionMismatch(f"expected a stack of 2-D Kraus operators, got shape {ops.shape}")
     _require_finite(ops)
+    return ops
+
+
+def validate_channel(ops) -> KrausChannel:
+    """Copy ``ops``, checked by ``_kraus_stack``, into one frozen stack; a set incomplete
+    beyond ``COMPLETENESS_ATOL`` raises ``IncompleteChannel``."""
+    ops = _kraus_stack(ops).copy()
     _require_complete(ops)
     return KrausChannel(_frozen(ops))
 
@@ -135,7 +142,7 @@ def monotonicity_check(
             raise DimensionMismatch(f"observable dim {observable.dim} != state dim {rho.dim}")
         ks = observable.mat[None]
     state = (rho.mat[None], rho.eigenvalues[None], rho.eigenvectors[None])
-    return _verdicts(ch.operators[None], *state, measure, ks)[0]
+    return _verdicts(ch.operators[None], *state, ks)[0]
 
 
 def _require_measure(measure: str) -> str:
@@ -145,24 +152,25 @@ def _require_measure(measure: str) -> str:
     return measure
 
 
-def _coherence(measure: str, w, v, ks, mat=None) -> np.ndarray:
-    """c_skew of each validated state ``(w[j], v[j])``, or for ``"k"`` its k_coherence under the
-    observable ``ks[j]``, with the matrices ``mat`` rebuilt from the spectra when not given."""
-    if measure == "skew":
+def _coherence(w, v, ks, mat=None) -> np.ndarray:
+    """c_skew of each validated state ``(w[j], v[j])``, or with observables its k_coherence under
+    ``ks[j]``, the matrices ``mat`` rebuilt from the spectra when not given."""
+    if ks is None:
         return _c_skew_of(w, v)
     return _k_of(_from_spectrum(w, v) if mat is None else mat, w, v, ks)
 
 
-def _verdicts(ops, mat, w, v, measure: str, ks) -> list:
+def _verdicts(ops, mat, w, v, ks) -> list:
     """Verdict of each validated state ``(mat[j], w[j], v[j])`` under its channel ``ops[j]``.
 
-    ``ops`` is one ``(m, K, d, d)`` stack; a channel with fewer than ``K``
-    operators ends in zero operators, whose outcomes fall below
-    ``OUTCOME_TOL`` and whose terms add zeros after the real ones, so each
-    verdict keeps the bits of its channel alone.  ``ks[j]`` is the observable
-    of state ``j`` for the ``"k"`` measure.  The channel outputs of all states
-    and their kept outcomes are validated as one stack, and one coherence call
-    scores it; the average over outcomes is a Python sum in outcome order.
+    ``ops`` is one ``(m, K, d, d)`` stack, ``K = d + 1`` for a sweep chunk; a
+    channel with fewer than ``K`` operators ends in zero operators, whose
+    outcomes fall below ``OUTCOME_TOL`` and whose terms add zeros after the
+    real ones, so each verdict keeps the bits of its channel alone.  ``ks[j]``
+    is the observable of state ``j`` for the ``"k"`` measure, and ``ks`` None
+    selects c_skew.  The channel outputs of all states and their kept outcomes
+    are validated as one stack, and one coherence call scores it; the average
+    over outcomes is a Python sum in outcome order.
     """
     m = len(ops)
     terms = _terms(ops, mat[:, None])
@@ -170,8 +178,8 @@ def _verdicts(ops, mat, w, v, measure: str, ks) -> list:
     kept = probs >= OUTCOME_TOL
     stack = np.concatenate([terms.sum(axis=1), terms[kept] / probs[kept, None, None]])
     owners = np.concatenate([np.arange(m), np.nonzero(kept)[0]])  # the state of each entry
-    c_out = _coherence(measure, *_spectrum(stack), ks if ks is None else ks[owners])
-    c_before = _coherence(measure, w, v, ks, mat).tolist()
+    c_out = _coherence(*_spectrum(stack), ks if ks is None else ks[owners])
+    c_before = _coherence(w, v, ks, mat).tolist()
     weighted = np.zeros(probs.shape)  # p C of each kept outcome, 0.0 (adds nothing) elsewhere
     weighted[kept] = probs[kept] * c_out[m:]
     c_avg = [sum(row) for row in weighted.tolist()]
@@ -184,40 +192,19 @@ def _verdicts(ops, mat, w, v, measure: str, ks) -> list:
 def random_incoherent_channel(dim: int, n_kraus: int, rng) -> KrausChannel:
     """Random incoherent channel with ``n_kraus`` operators.
 
-    Each operator gets an independent permutation support pattern with random
-    complex amplitudes.  The channel is built by ``_incoherent_ops``, the
-    stacked builder that ``monotonicity_sweep`` runs per chunk, on this one
-    draw: it normalizes each column across operators, which enforces
-    completeness exactly while preserving the single-entry columns.
+    Each operator gets an independent permutation support pattern, the values
+    of one ``rng.permutation(dim)``, and one call then draws the real, then
+    the imaginary parts of the complex amplitudes.  ``_incoherent_ops``, which
+    builds each ``monotonicity_sweep`` chunk's ``(m, dim + 1, dim, dim)``
+    stack, builds the channel from a stack of this one draw: it normalizes
+    each column across operators, which enforces completeness exactly while
+    preserving the single-entry columns.
     """
     dim, n_kraus = _dim(dim), _count(n_kraus, 1, "Kraus count")
-    draw = _draw(as_rng(rng), np.tile(np.arange(dim), (n_kraus, 1)))
-    return KrausChannel(_frozen(_incoherent_ops(*_channel_draws([draw], dim))[0]))
-
-
-def _draw(rng, tile: np.ndarray, tail: int = 0) -> tuple:
-    """One draw of a channel: its supports, then ``2 * tile.size + tail`` normals in one call.
-
-    Row ``n`` of ``tile`` (``arange(dim)``) is permuted with the values of the
-    ``n``-th ``rng.permutation(dim)``.  The normals hold the real then the
-    imaginary parts of the ``tile.shape`` amplitudes and ``tail`` more; one
-    call returns the values that consecutive calls for the same total return.
-    """
-    return rng.permuted(tile, axis=1), rng.standard_normal(2 * tile.size + tail)
-
-
-def _channel_draws(draws, dim: int) -> tuple:
-    """``(m, K, dim)`` supports and complex amplitudes of ``m`` ``(rows, normals)`` draws, ``K``
-    the largest Kraus count; a channel with fewer operators ends in zero rows of both."""
-    counts = [len(r) for r, _ in draws]
-    re = np.concatenate([z[:n * dim] for (_, z), n in zip(draws, counts)])
-    im = np.concatenate([z[n * dim:2 * n * dim] for (_, z), n in zip(draws, counts)])
-    filled = np.arange(max(counts)) < np.array(counts)[:, None]  # slot n of channel j is drawn
-    rows = np.zeros(filled.shape + (dim,), dtype=int)
-    amps = np.zeros(filled.shape + (dim,), dtype=complex)
-    rows[filled] = np.concatenate([r for r, _ in draws])
-    amps[filled] = (re + 1j * im).reshape(-1, dim)
-    return rows, amps
+    rng = as_rng(rng)
+    rows = rng.permuted(np.tile(np.arange(dim), (n_kraus, 1)), axis=1)
+    z = rng.standard_normal((2, n_kraus, dim))
+    return KrausChannel(_frozen(_incoherent_ops(rows[None], (z[0] + 1j * z[1])[None])[0]))
 
 
 def _incoherent_ops(rows: np.ndarray, amps: np.ndarray) -> np.ndarray:
@@ -244,7 +231,6 @@ def random_channel(dim: int, n_kraus: int, rng) -> KrausChannel:
 
     Ginibre blocks normalized jointly by (sum_n A_n^dag A_n)^(-1/2).
     """
-    # checked before normalize_kraus divides by the empty sum
     dim, n_kraus = _dim(dim), _count(n_kraus, 1, "Kraus count")
     # block n draws its real then its imaginary part, as _complex_normal does
     g = as_rng(rng).standard_normal((n_kraus, 2, dim, dim))
@@ -256,10 +242,14 @@ def normalize_kraus(ops) -> np.ndarray:
 
     Returns the ``(n, d_out, d_in)`` stack of results, which satisfy
     completeness; where the correction is diagonal, each operator keeps its
-    support pattern.
+    support pattern.  ``ops`` is checked as in ``validate_channel``, and a sum
+    whose smallest eigenvalue is not positive raises ``IncompleteChannel``.
     """
-    a = np.asarray(ops)
-    w, v = np.linalg.eigh((a.conj().swapaxes(-1, -2) @ a).sum(axis=0))
+    a = _kraus_stack(ops)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing set gives NaN eigenvalues
+        w, v = np.linalg.eigh((a.conj().swapaxes(-1, -2) @ a).sum(axis=0))
+    if not w[0] > 0:  # a NaN eigenvalue fails too
+        raise IncompleteChannel(f"sum of A_n^dag A_n has smallest eigenvalue {w[0]:.3e}")
     return a @ ((v / np.sqrt(w)) @ v.conj().T)
 
 
@@ -270,12 +260,13 @@ def monotonicity_sweep(measure: str, samples: int, dim: int, seed: int) -> list:
     in ``1..dim+1``, the channel's supports and amplitudes, a Ginibre factor
     and (for the ``"k"`` measure) a random observable, in the order of
     ``random_incoherent_channel``, ``ginibre_mixed`` and ``random_hermitian``.
-    The channels, states and observables are then built, validated and
-    evaluated once per chunk; the chunk's channels form one ``(m, K, d, d)``
-    Kraus stack, ``K`` its largest Kraus count, in which shorter channels end
-    in zero operators.  ``_child_rngs`` seeds each chunk's generators at once.
-    Returns one ``MonotonicityVerdict`` per sample, in sample order, each equal
-    to ``monotonicity_check`` of that sample.  The seed and the measure are
+    Each draw is written straight into its chunk's arrays, and the channels,
+    states and observables are then built, validated and evaluated once per
+    chunk; the chunk's channels form one ``(m, dim + 1, d, d)`` Kraus stack,
+    in which a channel with fewer operators ends in zero operators.
+    ``_child_rngs`` seeds each chunk's generators at once.  Returns one
+    ``MonotonicityVerdict`` per sample, in sample order, each equal to
+    ``monotonicity_check`` of that sample.  The seed and the measure are
     checked before anything is drawn.
     """
     seed = _seed(seed)
@@ -287,13 +278,20 @@ def monotonicity_sweep(measure: str, samples: int, dim: int, seed: int) -> list:
     verdicts = []
     # the outcome stack, up to (dim + 1) * dim^2 entries per sample, is the largest
     for chunk in _chunks(samples, (dim + 1) * dim * dim):
-        # each sample's Kraus count, then its channel and tail normals
-        draws = [_draw(rng, tiles[int(rng.integers(1, dim + 2))], tail)
-                 for rng in _child_rngs(seed, chunk)]
-        tails = np.stack([z[-tail:] for _, z in draws]).reshape(len(chunk), factors, 2, dim, dim)
+        m = len(chunk)
+        rows = np.zeros((m, dim + 1, dim), dtype=int)  # slots past a sample's count stay zero
+        normals = np.zeros((m, 2, dim + 1, dim))  # real, then imaginary parts of the amplitudes
+        tails = np.empty((m, factors, 2, dim, dim))
+        # each sample's Kraus count, its supports, then its channel and tail normals in one call
+        for j, rng in enumerate(_child_rngs(seed, chunk)):
+            nk = int(rng.integers(1, dim + 2))
+            rows[j, :nk] = rng.permuted(tiles[nk], axis=1)
+            z = rng.standard_normal(2 * nk * dim + tail)
+            normals[j, :, :nk] = z[:-tail].reshape(2, nk, dim)
+            tails[j] = z[-tail:].reshape(factors, 2, dim, dim)
         g = tails[:, :, 0] + 1j * tails[:, :, 1]
         states = _validated(_normalized_gram(g[:, 0]))
         ks = _hermitian(_hermitian_part(g[:, 1])) if factors == 2 else None
-        ops = _incoherent_ops(*_channel_draws(draws, dim))
-        verdicts += _verdicts(ops, *states, measure, ks)
+        ops = _incoherent_ops(rows, normals[:, 0] + 1j * normals[:, 1])
+        verdicts += _verdicts(ops, *states, ks)
     return verdicts

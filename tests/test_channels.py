@@ -23,7 +23,7 @@ from cohlab import (
     validate_density,
 )
 from cohlab import channels
-from cohlab.channels import COMPLETENESS_ATOL, KrausChannel, completeness_residual
+from cohlab.channels import COMPLETENESS_ATOL, KrausChannel, completeness_residual, normalize_kraus
 from cohlab.coherence import validate_observable
 from cohlab.errors import DimensionMismatch, IncompleteChannel, NegativeCount
 from cohlab.rand import random_hermitian
@@ -66,6 +66,23 @@ def test_validate_channel_rejects_empty():
 def test_validate_channel_rejects_bad_shapes(ops):
     with pytest.raises(DimensionMismatch):
         validate_channel(ops)
+
+
+@pytest.mark.parametrize("fn,ops,error", [
+    (normalize_kraus, [np.zeros((2, 2))], IncompleteChannel),
+    (normalize_kraus, [np.diag([1.0, 0.0])], IncompleteChannel),
+    (normalize_kraus, [[[1e200, 0.0], [0.0, 1.0]]], IncompleteChannel),
+    (normalize_kraus, [[["a"]]], DimensionMismatch),
+    (normalize_kraus, [], IncompleteChannel),
+    (completeness_residual, [[["a"]]], DimensionMismatch),
+    (completeness_residual, [], IncompleteChannel),
+], ids=["normalize-zero", "normalize-rank-deficient", "normalize-overflowing", "normalize-string",
+        "normalize-empty", "residual-string", "residual-empty"])
+def test_kraus_helpers_raise_typed_errors_without_warnings(fn, ops, error):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error):
+            fn(ops)
 
 
 def test_validate_channel_freezes_a_copy_of_the_stack():
@@ -252,6 +269,7 @@ def test_strong_monotonicity_sweep():
     ("skew", 2, 80), ("skew", 3, 80), ("skew", 4, 80), ("skew", 5, 80),
     ("k", 3, 80), ("k", 4, 80),
     ("skew", 8, 300), ("k", 6, 100),  # several chunks, the last one partial
+    ("skew", 5, 1), ("k", 4, 2),  # for some seeds every sample draws fewer than dim + 1 operators
 ])
 def test_sweep_matches_per_sample_reference(measure, dim, samples):
     for seed in (0, 7, 12345):
@@ -262,15 +280,14 @@ def test_sweep_matches_per_sample_reference(measure, dim, samples):
 def test_a_tiny_amplitude_column_still_gives_a_complete_incoherent_channel(monkeypatch):
     # a column's squared norm is chi-squared with 2K degrees of freedom, so draws this
     # short (probability far below 1e-12) are planted: column 0 is scaled to norm 1e-9
-    draw = channels._draw
+    build = channels._incoherent_ops
 
-    def tiny_column(rng, tile, tail=0):
-        rows, z = draw(rng, tile, tail)
-        col = z[:2 * tile.size:tile.shape[1]]  # real then imaginary parts of column 0
-        col *= 1e-9 / np.sqrt((col ** 2).sum())
-        return rows, z
+    def tiny_column(rows, amps):
+        col = amps[:, :, 0]  # column 0 of each channel, zero in the slots past its Kraus count
+        col *= 1e-9 / np.sqrt((np.abs(col) ** 2).sum(axis=1, keepdims=True))
+        return build(rows, amps)
 
-    monkeypatch.setattr(channels, "_draw", tiny_column)
+    monkeypatch.setattr(channels, "_incoherent_ops", tiny_column)
     for i in range(40):
         dim, n_kraus = 1 + i % 5, 1 + i % 4
         ch = random_incoherent_channel(dim, n_kraus, child_rng(708, i))
@@ -287,7 +304,7 @@ def test_sweep_rejects_non_positive_dim(dim):
 
 
 def assert_zero_operators_keep_the_bits(ch, rho, obs):
-    # a sweep chunk pads each channel with zero operators up to the chunk's largest Kraus count
+    # a sweep chunk pads each channel with zero operators up to dim + 1, the largest Kraus count
     padded = validate_channel(np.concatenate([ch.operators, np.zeros((2,) + ch.operators.shape[1:])]))
     want, got = apply(ch, rho), apply(padded, rho)
     for a, b in [(want.mat, got.mat), (want.eigenvalues, got.eigenvalues),

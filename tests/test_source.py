@@ -22,3 +22,21 @@ def test_every_imported_name_is_used(path):
     }
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert {name: line for name, line in imported.items() if name not in used} == {}
+
+
+def referenced(stmt):
+    """Names that ``stmt`` reads, or reads an attribute by, leaving out the name it defines."""
+    names = {node.id if isinstance(node, ast.Name) else node.attr
+             for node in ast.walk(stmt) if isinstance(node, (ast.Name, ast.Attribute))}
+    return names - {getattr(stmt, "name", None)}
+
+
+def test_every_private_helper_is_used_in_the_package():
+    # a helper that only tests still call is dead code, so tests/ is not searched
+    modules = {p.name: ast.parse(p.read_text(encoding="utf-8"))
+               for p in pathlib.Path(cohlab.__file__).parent.glob("*.py")}
+    helpers = {(name, stmt.name) for name, tree in modules.items() for stmt in tree.body
+               if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+               and stmt.name.startswith("_") and not stmt.name.endswith("__")}  # not a dunder hook
+    used = set().union(*(referenced(stmt) for tree in modules.values() for stmt in tree.body))
+    assert sorted(f"{module}: {name}" for module, name in helpers if name not in used) == []
