@@ -6,14 +6,15 @@ discord the joint coherence over product bases W.  Both are 1 minus the summed
 objective that Jacobi sweeps maximize with closed-form pair rotations (Cardoso and
 Souloumiac, SIAM J. Matrix Anal. Appl. 17, 161 (1996)); for a qubit A one rotation
 is optimal, so ``discord_asym`` is exact there (Girolami et al., PRL 110, 240402).
-All ``restarts`` starts are swept as one stack and the best is returned; ``converged``
-says there were at least two restarts, the two best agree within ``CONVERGENCE_GAP`` and
-the best beat the sweep cap.  One restart has nothing to agree with, so it never converges.
+All ``restarts`` starts are swept as one stack; the best is returned, valued from the swept
+sqrt(rho) in its bases.  ``converged`` says there were at least two restarts, the two best
+agree within ``CONVERGENCE_GAP`` and the best beat the sweep cap; one restart never converges.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations
 
 import numpy as np
@@ -54,9 +55,13 @@ class DiscordResult:
 def subsystem_coherence(rho_ab: DensityMatrix, dims, u=None) -> float:
     """Summed skew information with the projectors U|k><k|U^dag (x) I_B."""
     da, db = _subsystem_dims(rho_ab, dims, 2)
-    t = sqrtm(rho_ab).reshape(da, db, da, db)
+    return _subsystem_value(sqrtm(rho_ab), (da, db), None if u is None else check_unitary(u, da))
+
+
+def _subsystem_value(s, dims, u=None) -> float:
+    """1 - sum_k ||(<k|U^dag (x) I) s (U|k> (x) I)||_F^2, s = sqrt(rho), ``u`` unitary or None."""
+    t = s.reshape(*dims, *dims)
     if u is not None:
-        u = check_unitary(u, da)
         t = np.einsum("xa,xbyd,yc->abcd", u.conj(), t, u)
     blocks = np.einsum("kbkd->kbd", t)
     return float(1.0 - np.sum(np.abs(blocks) ** 2))
@@ -65,18 +70,25 @@ def subsystem_coherence(rho_ab: DensityMatrix, dims, u=None) -> float:
 def product_basis_coherence(rho_ab: DensityMatrix, dims, basis: LocalBasis | None = None) -> float:
     """Joint coherence in a local product basis; the identity basis gives c_skew."""
     da, db = _subsystem_dims(rho_ab, dims, 2)
-    s = sqrtm(rho_ab)
-    if basis is not None:
-        w = np.kron(check_unitary(basis.u_a, da), check_unitary(basis.u_b, db))
-        d = np.einsum("ij,ik,kj->j", w.conj(), s, w)
-    else:
-        d = s.diagonal()
+    w = None if basis is None else np.kron(check_unitary(basis.u_a, da),
+                                           check_unitary(basis.u_b, db))
+    return _product_value(sqrtm(rho_ab), w)
+
+
+def _product_value(s, w=None) -> float:
+    """1 - sum_j (W^dag s W)_jj^2, s = sqrt(rho), ``w`` unitary or None for the identity."""
+    d = s.diagonal() if w is None else np.einsum("ij,ik,kj->j", w.conj(), s, w)
     return float(1.0 - np.sum(d.real**2))
+
+
+@cache
+def _upper(d: int):  # row and column indices of the strict upper triangle of a d x d matrix
+    return np.triu_indices(d, 1)
 
 
 def _unitaries(x: np.ndarray, d: int) -> np.ndarray:
     """exp(iH) per row of ``x``: H Hermitian with diagonal x[:d], upper triangle from the rest."""
-    iu, n = np.triu_indices(d, 1), d * (d - 1) // 2
+    iu, n = _upper(d), d * (d - 1) // 2
     h = np.zeros((len(x), d, d), dtype=complex)
     h[:, iu[0], iu[1]] = x[:, d : d + n] + 1j * x[:, d + n :]
     diag = np.zeros((len(x), d, d))
@@ -115,7 +127,9 @@ def _rotate_pair(m, u, pair, kept, active):
     summed squared diagonals of const + n^T G n / 2, G = Re sum v v^dag with
     v = (X01 + X10, i (X01 - X10), X00 - X11): n is G's top eigenvector, n_z >= 0.
     """
-    x = m[:, pair][:, :, :, pair] * kept[:, None, :]
+    i, j = pair
+    p = slice(i, j + 1, j - i)  # exactly i and j, as a view
+    x = m[:, p, :, p] * kept[:, None, :]
     v = np.stack([x[:, 0, :, 1] + x[:, 1, :, 0], 1j * (x[:, 0, :, 1] - x[:, 1, :, 0]),
                   x[:, 0, :, 0] - x[:, 1, :, 1]], 1).reshape(len(x), 3, -1)
     n = np.linalg.eigh((v @ v.conj().swapaxes(1, 2)).real)[1][:, :, -1]
@@ -124,22 +138,23 @@ def _rotate_pair(m, u, pair, kept, active):
     c = np.sqrt((1.0 + n[:, 2]) / 2.0)
     s = (n[:, 0] + 1j * n[:, 1]) / (2.0 * c)
     g = np.stack([c, -s.conj(), s, c], 1).reshape(-1, 2, 2)
-    u[:, :, pair] = u[:, :, pair] @ g
-    m[:, pair] = np.einsum("rji,rj...->ri...", g.conj(), m[:, pair])
-    m[:, :, :, pair] = np.einsum("rabjc,rjl->rablc", m[:, :, :, pair], g)
+    u[:, :, p] = u[:, :, p] @ g
+    m[:, p] = np.einsum("rji,rj...->ri...", g.conj(), m[:, p])
+    m[:, :, :, p] = np.einsum("rabjc,rjl->rablc", m[:, :, :, p], g)
 
 
 def _sweep(m, ua, ub, kept, active):
     """One Jacobi sweep in place: every index pair of A, then of B unless ``ub`` is None."""
     da, db = m.shape[1:3]
     for pair in combinations(range(da), 2):
-        _rotate_pair(m, ua, np.array(pair), kept, active)
+        _rotate_pair(m, ua, pair, kept, active)
+    mb, eye = m.transpose(0, 2, 1, 4, 3), np.eye(da)
     for pair in combinations(range(db) if ub is not None else (), 2):
-        _rotate_pair(m.transpose(0, 2, 1, 4, 3), ub, np.array(pair), np.eye(da), active)
+        _rotate_pair(mb, ub, pair, eye, active)
 
 
 def _solve(rho_ab, dims, restarts, seed, sym) -> DiscordResult:
-    """Sweep every start as one stack; the best restart, its value recomputed from its bases."""
+    """Sweep every start as one stack; the best restart, valued from ``s`` in its bases."""
     da, db = _subsystem_dims(rho_ab, dims, 2)
     restarts = _count(restarts, 1, "restart count")
     s = sqrtm(rho_ab)
@@ -157,8 +172,8 @@ def _solve(rho_ab, dims, restarts, seed, sym) -> DiscordResult:
         weight = new
     best = int(np.argmax(weight))
     basis = local_basis(ua[best], ub[best])
-    value = (product_basis_coherence(rho_ab, (da, db), basis) if sym
-             else subsystem_coherence(rho_ab, (da, db), basis.u_a))
+    value = (_product_value(s, np.kron(basis.u_a, basis.u_b)) if sym
+             else _subsystem_value(s, (da, db), basis.u_a))
     converged = len(m) > 1 and not active[best] and np.ptp(np.sort(weight)[-2:]) <= CONVERGENCE_GAP
     return DiscordResult(max(value, 0.0), basis, len(m), bool(converged), int(sweeps[best]))
 

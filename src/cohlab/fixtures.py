@@ -14,6 +14,8 @@ place, and an unknown one raises ``UnknownFixture``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
+from types import MappingProxyType
 
 import numpy as np
 
@@ -100,15 +102,16 @@ def qubit_mixture_counterexample() -> dict:
     }
 
 
-def _theorem3(sigma_a, sigma_b, channel, expected_discord, bound) -> dict:
-    """A theorem-3 fixture: the inputs, the channel, its output and the two expected values."""
+def _theorem3(sigma_a, sigma_b, channel, expected_discord, bound) -> MappingProxyType:
+    """A read-only theorem-3 fixture: inputs, channel, output and the two expected values."""
     rho_f = apply(channel, tensor(sigma_a, sigma_b))
-    return {"sigma_a": sigma_a, "sigma_b": sigma_b, "channel": channel, "rho_f": rho_f,
-            "expected_discord": expected_discord, "bound": bound}
+    return MappingProxyType({"sigma_a": sigma_a, "sigma_b": sigma_b, "channel": channel,
+                             "rho_f": rho_f, "expected_discord": expected_discord, "bound": bound})
 
 
-def cnot_attainment() -> dict:
-    """Coherent qubit times a basis state through the copying permutation.
+@cache
+def cnot_attainment() -> MappingProxyType:
+    """Coherent qubit times a basis state through the copying permutation, built once.
 
     The output is maximally correlated and its symmetric discord equals the
     coherence of the first factor exactly.
@@ -116,8 +119,9 @@ def cnot_attainment() -> dict:
     return _theorem3(maximally_coherent(2), basis_state(2, 0), generalized_cnot(2), 0.5, 0.5)
 
 
-def block_unitary_example() -> dict:
-    """Two coherent qubits through the block unitary diag(I2, i*sigma_y).
+@cache
+def block_unitary_example() -> MappingProxyType:
+    """Two coherent qubits through the block unitary diag(I2, i*sigma_y), built once.
 
     The discord created (1/2) stays strictly below the coherence budget 3/4.
     """
@@ -149,10 +153,7 @@ class FixtureRow:
 
 
 def _row(label, computed, expected, tol=None) -> FixtureRow:
-    if tol is None:
-        ok = computed == expected
-    else:
-        ok = abs(float(computed) - float(expected)) <= tol
+    ok = computed == expected if tol is None else abs(float(computed) - float(expected)) <= tol
     return FixtureRow(label, computed, expected, tol, ok)
 
 

@@ -79,13 +79,12 @@ def recover_spectrum(trace_powers) -> SpectrumEstimate:
     if p.ndim != 1 or n < 1:
         raise DimensionMismatch("need a list of power sums for n = 1..N")
     _require_finite(p)
-    e = np.zeros(n + 1)
-    e[0] = 1.0
+    e, pf = [1.0], p.tolist()  # Python floats: numpy scalars cost more than the arithmetic
     for k in range(1, n + 1):
         acc = 0.0
         for m in range(1, k + 1):
-            acc += (-1.0) ** (m - 1) * e[k - m] * p[m - 1]
-        e[k] = acc / k
+            acc += (-1.0) ** (m - 1) * e[k - m] * pf[m - 1]
+        e.append(acc / k)
     coeffs = [(-1.0) ** k * e[k] for k in range(n + 1)]
     roots = np.roots(coeffs)
     flagged = bool(n > WELL_CONDITIONED_DIM or np.any(np.abs(roots.imag) > IMAG_TOL))

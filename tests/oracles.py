@@ -4,7 +4,8 @@ These deliberately avoid the package's computational paths: square roots go
 through a singular value decomposition, skew quantities through literal commutator
 traces, the Fisher information through a fidelity finite difference, and the
 discord through an exhaustive product-basis grid with local grid refinement or,
-for a qubit A, the local-quantum-uncertainty closed form.  The monotonicity
+for a qubit A, the local-quantum-uncertainty closed form; its pair rotation is
+checked against the fancy-index copy kernel it replaced.  The monotonicity
 reference checks one sample at a time through the single-state channel maps,
 and the partition reference multiplies per-split factors from explicit partial
 traces by its own recursion.
@@ -277,6 +278,27 @@ def random_start_unitaries(seed, dims, restarts, sym):
         if sym:
             ub.append(expi(x[da * da :], db))
     return ua, ub
+
+
+def rotate_pair_fancy(m, u, pair, kept, active):
+    """The discord pair rotation through fancy-index copies and writes, in place.
+
+    The same arithmetic as ``cohlab.discord._rotate_pair``, with the index pair
+    taken as an integer array, so every read of ``m`` and ``u`` is a copy.
+    """
+    pair = np.array(pair)
+    x = m[:, pair][:, :, :, pair] * kept[:, None, :]
+    v = np.stack([x[:, 0, :, 1] + x[:, 1, :, 0], 1j * (x[:, 0, :, 1] - x[:, 1, :, 0]),
+                  x[:, 0, :, 0] - x[:, 1, :, 1]], 1).reshape(len(x), 3, -1)
+    n = np.linalg.eigh((v @ v.conj().swapaxes(1, 2)).real)[1][:, :, -1]
+    n = np.where(n[:, 2:] < 0.0, -n, n)
+    n[~active] = (0.0, 0.0, 1.0)
+    c = np.sqrt((1.0 + n[:, 2]) / 2.0)
+    s = (n[:, 0] + 1j * n[:, 1]) / (2.0 * c)
+    g = np.stack([c, -s.conj(), s, c], 1).reshape(-1, 2, 2)
+    u[:, :, pair] = u[:, :, pair] @ g
+    m[:, pair] = np.einsum("rji,rj...->ri...", g.conj(), m[:, pair])
+    m[:, :, :, pair] = np.einsum("rabjc,rjl->rablc", m[:, :, :, pair], g)
 
 
 def power_sum_jacobian_inverse_norm(lams):

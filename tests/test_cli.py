@@ -19,7 +19,7 @@ from cohlab import cli
 from cohlab.channels import COMPLETENESS_ATOL, completeness_residual
 from cohlab.cli import main
 from cohlab.errors import CohlabError, NotUnitTrace, ParseError, UnknownFixture
-from cohlab.fixtures import FIXTURE_NAMES, fixture_report
+from cohlab.fixtures import FIXTURE_NAMES, block_unitary_example, cnot_attainment, fixture_report
 from cohlab.serialize import (
     matrix_to_obj,
     read_channel,
@@ -604,6 +604,11 @@ def test_report_bytes_are_pinned(tmp_path, command, digest):
     # one and two restarts draw no random start; one restart never reports convergence
     ("2x3", ["--restarts", "1"], "e25227cca6d49ad9a5cfb48672546572494c80fcf9a8f971e069b77298878bcb"),
     ("2x3", ["--restarts", "2"], "be6909808181f928e72afc651030a8460b5e9517166694be558185f34593120d"),
+    # a 4-dimensional subsystem, rotated by the fancy-index pair kernel when these were taken
+    ("2x4", ["--mode", "asym", "--restarts", "8"],
+     "0e48464e85a0bf1e49c2c7a639b6dd403ffadf557dad0d262bae6c3122e75442"),
+    ("4x4", ["--mode", "sym", "--restarts", "4"],
+     "ef9b765f70d20c321f4a4286195d6681a957f9cbcc6e4c8226a66eb024e7d8ae"),
 ])
 def test_discord_bytes_are_pinned(tmp_path, dims, extra, digest):
     # SHA-256 of the JSON report without "meta", as the per-restart start loop wrote it
@@ -674,10 +679,33 @@ def test_cached_parser_prints_what_a_fresh_parser_prints(tmp_path, monkeypatch):
     assert cached[-1][1].startswith("usage: cohlab compute")
 
 
-def test_cli_import_loads_no_scipy():
+def test_cached_fixtures_print_what_fresh_fixtures_print():
+    argvs = [["discord", "--fixture", "theorem3-block"], ["fixture", "theorem3-cnot"]]
+    first = [run_cli(argv) for argv in argvs]
+    assert [run_cli(argv) for argv in argvs] == first
+    for build in (cnot_attainment, block_unitary_example):
+        build.cache_clear()
+    assert [run_cli(argv) for argv in argvs] == first
+    assert [code for code, _ in first] == [0, 0]
+    assert cnot_attainment.cache_info().currsize == block_unitary_example.cache_info().currsize == 1
+
+
+def _fresh_python(code):
+    """stdout of ``code`` run in a new interpreter that imports this cohlab."""
     src = os.path.dirname(os.path.dirname(cohlab.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True, timeout=60).stdout.strip()
+
+
+def test_cli_import_loads_no_scipy():
     code = "import sys, cohlab.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True, timeout=60)
-    assert out.stdout.strip() == "[]"
+    assert _fresh_python(code) == "[]"
+
+
+def test_cli_start_builds_no_fixture():
+    # the theorem-3 fixtures are cached on first use, not built at import or parser time
+    code = ("import cohlab.cli; cohlab.cli.build_parser(); from cohlab import fixtures; "
+            "print([f.cache_info().currsize for f in "
+            "(fixtures.cnot_attainment, fixtures.block_unitary_example)])")
+    assert _fresh_python(code) == "[0, 0]"

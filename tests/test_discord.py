@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -25,7 +27,7 @@ from cohlab import (
 )
 from cohlab import discord
 from cohlab.channels import apply, validate_channel
-from cohlab.discord import _kept_weight, _starts, _sweep
+from cohlab.discord import _kept_weight, _rotate_pair, _starts, _sweep
 from cohlab.errors import DimensionMismatch, NegativeCount, NotIncoherentChannel
 from cohlab.fixtures import block_unitary_example, cnot_attainment
 
@@ -35,6 +37,7 @@ from oracles import (
     psd_sqrt,
     qubit_a_discord,
     random_start_unitaries,
+    rotate_pair_fancy,
     subsystem_coherence_commutator,
 )
 
@@ -221,6 +224,40 @@ def test_jacobi_sweep_never_lowers_kept_weight(sym, dims):
         weight = new
 
 
+@pytest.mark.parametrize("d, other", [(3, 2), (4, 3)])
+@pytest.mark.parametrize("side", ["a", "b"])
+def test_rotate_pair_views_match_fancy_index_reference(d, other, side):
+    # every pair of a d-dimensional subsystem, the step-2 and step-3 slices (0, 2), (0, 3) too;
+    # B is rotated through the transposed view that _sweep passes, as in a symmetric solve
+    rng = child_rng(917, d)
+    shape = (5, d, other, d, other) if side == "a" else (5, other, d, other, d)
+    m0 = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    u0 = rng.normal(size=(5, d, d)) + 1j * rng.normal(size=(5, d, d))
+    kept = np.ones((other, other)) if side == "a" else np.eye(other)
+    active = np.array([True, False, True, True, True])
+    view = (lambda a: a) if side == "a" else (lambda a: a.transpose(0, 2, 1, 4, 3))
+    for i, j in combinations(range(d), 2):
+        m, u, m_ref, u_ref = m0.copy(), u0.copy(), m0.copy(), u0.copy()
+        _rotate_pair(view(m), u, (i, j), kept, active)
+        rotate_pair_fancy(view(m_ref), u_ref, (i, j), kept, active)
+        assert np.array_equal(m, m_ref) and np.array_equal(u, u_ref)
+        rest = [k for k in range(d) if k not in (i, j)]
+        assert np.array_equal(view(m)[:, rest][:, :, :, rest], view(m0)[:, rest][:, :, :, rest])
+        assert np.array_equal(u[:, :, rest], u0[:, :, rest])
+        assert not np.array_equal(u[:, :, [i, j]], u0[:, :, [i, j]])
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (2, 4), (3, 3)])
+@pytest.mark.parametrize("restarts", [1, 2, 8])
+def test_solver_value_is_the_public_value(dims, restarts):
+    # the solver values its swept sqrt(rho) in its bases; the public kernels recompute sqrt(rho)
+    rho = ginibre_mixed(dims[0] * dims[1], child_rng(918, dims[0] * dims[1]))
+    sym = discord_sym(rho, dims, restarts=restarts, seed=3)
+    asym = discord_asym(rho, dims, restarts=restarts, seed=3)
+    assert sym.value == max(product_basis_coherence(rho, dims, sym.basis), 0.0)
+    assert asym.value == max(subsystem_coherence(rho, dims, asym.basis.u_a), 0.0)
+
+
 @pytest.mark.parametrize("solve", [discord_sym, discord_asym])
 @pytest.mark.parametrize("restarts, error", [(0, NegativeCount), (-3, NegativeCount),
                                               (2.5, DimensionMismatch)])
@@ -293,6 +330,13 @@ def test_bound_check_attained_by_cnot():
     assert out["ok"]
     assert out["bound"] == pytest.approx(0.5, abs=1e-10)
     assert out["discord_after"] == pytest.approx(0.5, abs=1e-5)
+
+
+def test_theorem3_fixtures_are_built_once_and_read_only():
+    assert cnot_attainment() is cnot_attainment()
+    assert block_unitary_example() is block_unitary_example()
+    with pytest.raises(TypeError):
+        cnot_attainment()["rho_f"] = BELL
 
 
 def test_bound_check_block_unitary_strict():
