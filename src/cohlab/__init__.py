@@ -12,12 +12,7 @@ from .linalg import (
     tensor,
     validate_density,
 )
-from .rand import (
-    child_rng,
-    ginibre_mixed,
-    haar_pure,
-    random_unitary,
-)
+from .rand import child_rng, ginibre_mixed
 from .coherence import (
     CoherenceReport,
     Observable,

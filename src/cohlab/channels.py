@@ -258,8 +258,9 @@ def monotonicity_sweep(measure: str, samples: int, dim: int, seed: int) -> list:
 
     Sample ``i`` draws everything from its own child generator: a Kraus count
     in ``1..dim+1``, the channel's supports and amplitudes, a Ginibre factor
-    and (for the ``"k"`` measure) a random observable, in the order of
-    ``random_incoherent_channel``, ``ginibre_mixed`` and ``random_hermitian``.
+    and (for the ``"k"`` measure) the Hermitian part of a complex normal
+    matrix as its observable, in the order of ``random_incoherent_channel``
+    and ``ginibre_mixed``.
     Each draw is written straight into its chunk's arrays, and the channels,
     states and observables are then built, validated and evaluated once per
     chunk; the chunk's channels form one ``(m, dim + 1, d, d)`` Kraus stack,

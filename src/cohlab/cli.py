@@ -88,8 +88,11 @@ def cmd_fixture(args) -> int:
 
 def _write_lines(path, lines):
     if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write("\n".join(lines) + "\n")
+        except OSError as exc:  # exit 1 is kept for a failing fixture row
+            raise ParseError(f"cannot write {path}: {exc}") from exc
     else:
         for line in lines:
             print(line)

@@ -101,15 +101,13 @@ def recover_spectrum(trace_powers) -> SpectrumEstimate:
 class MeasurementEstimate:
     """Coherence quantities rebuilt from probe estimates.
 
-    The diagonal entries are taken exact by default (ideal projective
-    probes); pass ``diag_shots`` to sample them multinomially instead.  The
+    The diagonal entries are taken exact (ideal projective probes).  The
     cost counters record the probe budget: N-1 interference settings plus
     N-1 independent projector probabilities.
     """
 
     spectrum: SpectrumEstimate
     shot_records: tuple
-    diag: np.ndarray
     c_rel_hat: float
     c_l2_hat: float
     skew_bounds_hat: tuple
@@ -137,7 +135,6 @@ def estimate_measures(
     shots_per_power: int,
     seed: int,
     exact_powers: bool = False,
-    diag_shots: int | None = None,
 ) -> MeasurementEstimate:
     """Estimate the relative-entropy coherence and the measurable bounds.
 
@@ -155,13 +152,7 @@ def estimate_measures(
         records = [simulate_shots(rho, n, shots_per_power, child_rng(seed, n)) for n in range(2, nd + 1)]
         est = [1.0] + [r.trace_power_hat for r in records]
     spectrum = recover_spectrum(est)
-
-    diag = rho.diag().copy()
-    if diag_shots is not None:
-        diag_shots = _count(diag_shots, 1, "diagonal shot count")
-        counts = child_rng(seed, 0).multinomial(diag_shots, diag / diag.sum())
-        diag = counts / diag_shots
-
+    diag = rho.diag().copy()  # contiguous: diag @ diag of the strided view rounds otherwise
     lam = spectrum.eigenvalues
     purity_hat = float(np.sum(lam**2))
     c_l2_hat = purity_hat - float(diag @ diag)
@@ -169,7 +160,6 @@ def estimate_measures(
     return MeasurementEstimate(
         spectrum=spectrum,
         shot_records=tuple(records),
-        diag=_frozen(diag),
         c_rel_hat=c_rel_hat,
         c_l2_hat=c_l2_hat,
         skew_bounds_hat=_skew_sandwich(c_l2_hat, purity_hat),

@@ -1,4 +1,4 @@
-"""Seeded random states, unitaries and observables.
+"""Seeded random states.
 
 Sweeps derive a child generator per sample with a spawn key, so sample ``i``
 is reproducible on its own and results do not depend on scheduling or on the
@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import DensityMatrix, _count, _dim, _hermitian_part, pure_state, validate_density
+from .linalg import DensityMatrix, _count, _dim, validate_density
 
 
 def _seed(seed) -> int:
@@ -107,24 +107,4 @@ def ginibre_mixed(dim: int, rng) -> DensityMatrix:
     """Full-support random mixed state G G^dag / Tr(G G^dag)."""
     dim = _dim(dim)
     return validate_density(_normalized_gram(_complex_normal(as_rng(rng), (dim, dim))))
-
-
-def haar_pure(dim: int, rng) -> DensityMatrix:
-    """Haar-random pure state (normalized complex normal vector)."""
-    return pure_state(_complex_normal(as_rng(rng), _dim(dim)))
-
-
-def random_unitary(dim: int, rng) -> np.ndarray:
-    """Haar-distributed unitary via phase-fixed QR of a Ginibre matrix."""
-    dim = _dim(dim)
-    q, r = np.linalg.qr(_complex_normal(as_rng(rng), (dim, dim)))
-    phases = np.diagonal(r).copy()
-    phases /= np.abs(phases)
-    return q * phases
-
-
-def random_hermitian(dim: int, rng) -> np.ndarray:
-    """Hermitian part of a complex normal matrix."""
-    dim = _dim(dim)
-    return _hermitian_part(_complex_normal(as_rng(rng), (dim, dim)))
 

@@ -9,7 +9,14 @@ checked against the fancy-index copy kernel it replaced.  The monotonicity
 reference checks one sample at a time through the single-state channel maps,
 and the partition reference multiplies per-split factors from explicit partial
 traces by its own recursion.
+
+The file also holds the seeded test inputs that no cohlab command needs:
+Haar pure states and unitaries, random Hermitian matrices, and state files.
+Like the references, they import cohlab inside their bodies, so the file
+also loads on its own.
 """
+
+import json
 
 import numpy as np
 
@@ -356,7 +363,6 @@ def monotonicity_sweep_reference(measure, samples, dim, seed):
     numpy's, built here from the ``SeedSequence`` spawn key."""
     from cohlab import ginibre_mixed, random_incoherent_channel
     from cohlab.coherence import validate_observable
-    from cohlab.rand import random_hermitian
 
     verdicts = []
     for i in range(samples):
@@ -367,3 +373,43 @@ def monotonicity_sweep_reference(measure, samples, dim, seed):
         obs = validate_observable(random_hermitian(dim, rng)) if measure == "k" else None
         verdicts.append(monotonicity_reference(ch, rho, measure, obs))
     return verdicts
+
+
+def haar_pure(dim: int, rng):
+    """Haar-random pure state (normalized complex normal vector)."""
+    from cohlab.linalg import _dim, pure_state
+    from cohlab.rand import _complex_normal, as_rng
+
+    return pure_state(_complex_normal(as_rng(rng), _dim(dim)))
+
+
+def random_unitary(dim: int, rng) -> np.ndarray:
+    """Haar-distributed unitary via phase-fixed QR of a Ginibre matrix."""
+    from cohlab.linalg import _dim
+    from cohlab.rand import _complex_normal, as_rng
+
+    dim = _dim(dim)
+    q, r = np.linalg.qr(_complex_normal(as_rng(rng), (dim, dim)))
+    phases = np.diagonal(r).copy()
+    phases /= np.abs(phases)
+    return q * phases
+
+
+def random_hermitian(dim: int, rng) -> np.ndarray:
+    """Hermitian part of a complex normal matrix."""
+    from cohlab.linalg import _dim, _hermitian_part
+    from cohlab.rand import _complex_normal, as_rng
+
+    dim = _dim(dim)
+    return _hermitian_part(_complex_normal(as_rng(rng), (dim, dim)))
+
+
+def state_to_obj(rho) -> dict:
+    from cohlab.serialize import matrix_to_obj
+
+    return {"dim": rho.dim, **matrix_to_obj(rho.mat)}
+
+
+def write_state(path: str, rho):
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(state_to_obj(rho), fh)

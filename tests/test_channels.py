@@ -1,5 +1,3 @@
-import os
-import tempfile
 import warnings
 
 import numpy as np
@@ -23,16 +21,14 @@ from cohlab import (
     validate_density,
 )
 from cohlab import channels
-from cohlab.channels import COMPLETENESS_ATOL, KrausChannel, completeness_residual, normalize_kraus
+from cohlab.channels import COMPLETENESS_ATOL, completeness_residual, normalize_kraus
 from cohlab.coherence import validate_observable
 from cohlab.errors import DimensionMismatch, IncompleteChannel, NegativeCount
-from cohlab.rand import random_hermitian
 from cohlab.fixtures import (
     k_coherence_counterexample,
     printed_counterexample_ops,
 )
-from cohlab.serialize import read_channel, write_channel
-from oracles import kraus_draws, monotonicity_reference, monotonicity_sweep_reference
+from oracles import kraus_draws, monotonicity_reference, monotonicity_sweep_reference, random_hermitian
 
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
 
@@ -100,16 +96,11 @@ def test_validate_channel_freezes_a_copy_of_the_stack():
 def test_completeness_boundary_is_the_residual(dim, n_kraus, seed, eps):
     # scaling by 1 + eps moves the residual to about 2|eps|, across COMPLETENESS_ATOL
     ops = random_channel(dim, n_kraus, seed).operators * (1.0 + eps)
-    ok = completeness_residual(ops) <= COMPLETENESS_ATOL
-    with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "channel.json")
-        write_channel(path, KrausChannel(ops))
-        for load in (lambda: validate_channel(ops), lambda: read_channel(path)):
-            if ok:
-                assert np.array_equal(load().operators, ops)
-            else:
-                with pytest.raises(IncompleteChannel):
-                    load()
+    if completeness_residual(ops) <= COMPLETENESS_ATOL:
+        assert np.array_equal(validate_channel(ops).operators, ops)
+    else:
+        with pytest.raises(IncompleteChannel):
+            validate_channel(ops)
 
 
 def test_stacked_kernels_match_per_operator_loop():

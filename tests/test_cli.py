@@ -13,21 +13,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cohlab
-from cohlab import ginibre_mixed, maximally_coherent, random_incoherent_channel
-from cohlab.rand import random_hermitian
+from cohlab import ginibre_mixed, maximally_coherent
 from cohlab import cli
-from cohlab.channels import COMPLETENESS_ATOL, completeness_residual
 from cohlab.cli import main
 from cohlab.errors import CohlabError, NotUnitTrace, ParseError, UnknownFixture
 from cohlab.fixtures import FIXTURE_NAMES, block_unitary_example, cnot_attainment, fixture_report
-from cohlab.serialize import (
-    matrix_to_obj,
-    read_channel,
-    read_state,
-    state_to_obj,
-    write_channel,
-    write_state,
-)
+from cohlab.serialize import matrix_to_obj, read_state
+
+from oracles import random_hermitian, state_to_obj, write_state
 
 
 def run_cli(argv):
@@ -62,16 +55,6 @@ def test_state_reader_validates(tmp_path):
         read_state(str(path))
 
 
-def test_channel_json_round_trip(tmp_path):
-    ch = random_incoherent_channel(3, 2, 5)
-    path = tmp_path / "channel.json"
-    write_channel(str(path), ch)
-    back = read_channel(str(path))
-    assert len(back.operators) == 2
-    for a, b in zip(back.operators, ch.operators):
-        assert np.abs(a - b).max() < 1e-15
-
-
 def test_malformed_json_raises_parse_error(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{nope")
@@ -97,13 +80,6 @@ _STATE_LIKE = st.fixed_dictionaries({"re": _ROWS | _JSON, "im": _ROWS | _JSON},
                                     optional={"dim": _JSON | st.integers(0, 3)})
 
 
-_CHANNEL_LIKE = st.fixed_dictionaries(
-    {"ops": st.lists(st.fixed_dictionaries({"re": _ROWS | _JSON, "im": _ROWS | _JSON}),
-                     max_size=2) | _JSON},
-    optional={"dim_in": _JSON | st.integers(0, 3), "dim_out": _JSON | st.integers(0, 3)},
-)
-
-
 def _read_dumped(read, obj):
     """``read`` of a temporary file that holds ``obj`` as JSON."""
     fd, path = tempfile.mkstemp(suffix=".json")
@@ -125,18 +101,6 @@ def test_read_state_raises_only_cohlab_errors(obj):
     except CohlabError:
         return
     assert np.isfinite(rho.mat).all() and abs(rho.mat.trace() - 1.0) < 1e-9
-
-
-@settings(max_examples=200, deadline=None)
-@given(_CHANNEL_LIKE | _JSON)
-@example({"ops": [{"re": [[1e155, 0.0], [0.0, 1.0]], "im": [[1e155, 0.0], [0.0, 0.0]]}]})
-def test_read_channel_raises_only_cohlab_errors(obj):
-    # the 1e155 example overflowed sum M^dag M to a NaN residual and loaded
-    try:
-        ch = _read_dumped(read_channel, obj)
-    except CohlabError:
-        return
-    assert completeness_residual(ch.operators) <= COMPLETENESS_ATOL
 
 
 def test_compute_plus_state(plus_file):
@@ -204,14 +168,24 @@ def test_compute_non_integer_dim_exits_2(tmp_path, dim):
     assert json.loads(out)["error"] == "ParseError"
 
 
-@pytest.mark.parametrize("read,obj", [
-    (read_state, {"dim": True, "re": [[1.0]], "im": [[0.0]]}),
-    (read_channel, {"dim_in": 3, "dim_out": 2, "ops": [matrix_to_obj(np.eye(2))]}),
-    (read_channel, {"dim_in": 2, "dim_out": 2.0, "ops": [matrix_to_obj(np.eye(2))]}),
-], ids=["state-dim-true", "channel-dim-in-wrong", "channel-dim-out-float"])
-def test_readers_reject_declared_dims_that_are_not_the_shape(read, obj):
+@pytest.mark.parametrize("obj", [{"dim": True, "re": [[1.0]], "im": [[0.0]]}], ids=["state-dim-true"])
+def test_readers_reject_declared_dims_that_are_not_the_shape(obj):
     with pytest.raises(ParseError, match="declared"):
-        _read_dumped(read, obj)
+        _read_dumped(read_state, obj)
+
+
+@pytest.mark.parametrize("obj", [
+    {"dim": 1, "re": [["1"]], "im": [["0"]]},
+    {"dim": 1, "re": [[True]], "im": [[False]]},
+    {"re": [[1.0, False], [0.0, 0.0]], "im": [[0.0, 0.0], [0.0, 0.0]]},
+], ids=["string", "bool", "mixed-bool"])
+def test_compute_rejects_entries_that_are_not_json_numbers(tmp_path, obj):
+    # numpy reads each of these as floats, and each once loaded as a valid state
+    path = tmp_path / "entries.json"
+    path.write_text(json.dumps(obj))
+    code, out = run_cli(["compute", "--input", str(path)])
+    assert code == 2
+    assert json.loads(out)["error"] == "ParseError"
 
 
 def test_compute_non_finite_result_exits_2(tmp_path, plus_file):
@@ -349,6 +323,20 @@ def test_sweep_zero_samples_summary(tmp_path):
         "theorem_min_gaps": {},
     }
     assert len(out.read_text().splitlines()) == 3  # the header only
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "polygamy", "--dims", "2x2", "--samples", "2"],
+    ["monotonicity", "--samples", "2"],
+], ids=["sweep", "monotonicity"])
+@pytest.mark.parametrize("out", ["missing-dir/x.csv", "."], ids=["missing-dir", "directory"])
+def test_unwritable_out_exits_2(tmp_path, argv, out):
+    # exit 1 means a failing fixture row; an --out that cannot be opened once raised with it
+    path = str(tmp_path / out)
+    code, stdout = run_cli(argv + ["--out", path])
+    assert code == 2
+    err = json.loads(stdout)
+    assert err["error"] == "ParseError" and path in err["detail"]
 
 
 @pytest.mark.parametrize("argv", [

@@ -16,7 +16,6 @@ from cohlab import (
     maximally_coherent,
     optimal_incoherent_state,
     random_channel,
-    random_unitary,
     rotated,
     skew_bounds,
     skew_info,
@@ -25,9 +24,8 @@ from cohlab import (
 )
 from cohlab.errors import DimensionMismatch
 from cohlab.fixtures import COUNTEREXAMPLE_RHO, COUNTEREXAMPLE_K
-from cohlab.rand import random_hermitian
 
-from oracles import k_coherence_commutator, skew_info_commutator
+from oracles import k_coherence_commutator, random_hermitian, random_unitary, skew_info_commutator
 
 
 def test_skew_info_diagonal_state_vanishes():

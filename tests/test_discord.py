@@ -12,14 +12,12 @@ from cohlab import (
     discord_sym,
     generalized_cnot,
     ginibre_mixed,
-    haar_pure,
     is_incoherent,
     local_basis,
     maximally_coherent,
     partial_trace,
     product_basis_coherence,
     pure_state,
-    random_unitary,
     rotated,
     subsystem_coherence,
     tensor,
@@ -33,10 +31,12 @@ from cohlab.fixtures import block_unitary_example, cnot_attainment
 
 from oracles import (
     discord_grid_oracle,
+    haar_pure,
     product_coherence_commutator,
     psd_sqrt,
     qubit_a_discord,
     random_start_unitaries,
+    random_unitary,
     rotate_pair_fancy,
     subsystem_coherence_commutator,
 )

@@ -13,13 +13,11 @@ from cohlab import (
     estimate_measures,
     generalized_cnot,
     ginibre_mixed,
-    haar_pure,
     maximally_coherent,
     monotonicity_sweep,
     partial_trace,
     pure_state,
     qfi_projector,
-    random_unitary,
     skew_qfi_sandwich,
     sqrtm,
     sweep_polygamy,
@@ -40,7 +38,7 @@ from cohlab.fixtures import COUNTEREXAMPLE_RHO
 from cohlab.linalg import CHUNK_ENTRIES, _chunks, _count, _partial_trace
 from cohlab.rand import as_rng
 
-from oracles import _reduced, psd_sqrt
+from oracles import _reduced, psd_sqrt, random_unitary
 
 
 def test_validate_maximally_mixed_qubit():
@@ -271,12 +269,10 @@ def test_partial_trace_dimension_check():
     lambda rho: generalized_cnot(2.5),
     lambda rho: ginibre_mixed(2.5, 1),
     lambda rho: ginibre_mixed(0, 1),
-    lambda rho: haar_pure(2.5, 1),
-    lambda rho: random_unitary(2.5, 1),
 ], ids=["basis-past-end", "basis-negative", "basis-float", "keep-string", "keep-float",
         "keep-float-list", "skew-float", "qfi-float", "skew-bool", "qfi-bool",
         "max-coherent-float", "max-coherent-negative", "cnot-float", "ginibre-float",
-        "ginibre-zero", "haar-float", "unitary-float"])
+        "ginibre-zero"])
 def test_index_arguments_are_integers_in_range(call):
     # numpy once raised IndexError/TypeError here, or read -1 as the last index and 0.5 as 0
     with pytest.raises(DimensionMismatch):
@@ -368,12 +364,6 @@ def test_random_state_sweep_valid():
         assert np.abs(rho.mat - rho.mat.conj().T).max() < 1e-12
         assert abs(rho.mat.trace().real - 1.0) < 1e-12
         assert rho.eigenvalues.min() >= 0.0
-
-
-def test_haar_pure_unit_purity():
-    for i in range(100):
-        psi = haar_pure(5, child_rng(500, i))
-        assert abs(psi.purity() - 1.0) < 1e-12
 
 
 

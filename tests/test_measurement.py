@@ -7,7 +7,6 @@ from cohlab import (
     estimate_measures,
     exact_trace_powers,
     ginibre_mixed,
-    haar_pure,
     maximally_coherent,
     recover_spectrum,
     simulate_shots,
@@ -16,7 +15,7 @@ from cohlab import (
 )
 from cohlab.errors import DimensionMismatch, NegativeCount, NotFinite
 
-from oracles import power_sum_jacobian_inverse_norm
+from oracles import haar_pure, power_sum_jacobian_inverse_norm
 
 
 def test_exact_powers_two_level():
@@ -167,13 +166,6 @@ def test_estimate_matches_true_values_on_exact_powers():
         assert est.skew_bounds_hat[1] == pytest.approx(tv["skew_bounds"][1], abs=1e-8)
 
 
-def test_estimate_multinomial_diag_mode():
-    rho = ginibre_mixed(3, 8)
-    est = estimate_measures(rho, 10**4, seed=5, diag_shots=10**5)
-    assert abs(est.diag.sum() - 1.0) < 1e-12
-    assert np.abs(est.diag - rho.diag()).max() < 0.01
-
-
 def test_cost_accounting():
     for d in (2, 3, 5):
         rho = ginibre_mixed(d, d)
@@ -191,14 +183,12 @@ def test_cost_accounting():
     (lambda rho: exact_trace_powers(rho, 1.5), DimensionMismatch),
     (lambda rho: exact_trace_powers(rho, 0), NegativeCount),
     (lambda rho: estimate_measures(rho, 2.5, 0), DimensionMismatch),
-    (lambda rho: estimate_measures(rho, 100, 0, diag_shots=0), NegativeCount),
-    (lambda rho: estimate_measures(rho, 100, 0, diag_shots=2.5), DimensionMismatch),
     (lambda rho: estimate_measures(rho, -7, 0, exact_powers=True), NegativeCount),
     (lambda rho: estimate_measures(rho, 0, 0, exact_powers=True), NegativeCount),
     (lambda rho: estimate_measures(rho, 2.5, 0, exact_powers=True), DimensionMismatch),
     (lambda rho: estimate_measures(validate_density([[1.0]]), 0, 0), NegativeCount),
 ], ids=["shots-float", "power-float", "shots-zero", "max-n-float", "max-n-zero",
-        "estimate-shots-float", "diag-shots-zero", "diag-shots-float",
+        "estimate-shots-float",
         "exact-shots-negative", "exact-shots-zero", "exact-shots-float", "one-level-shots-zero"])
 def test_counts_are_positive_integers(call, error):
     with pytest.raises(error):

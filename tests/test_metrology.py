@@ -22,7 +22,7 @@ from cohlab import (
 
 from cohlab.errors import DimensionMismatch, NegativeCount
 
-from oracles import qfi_finite_difference
+from oracles import haar_pure, qfi_finite_difference
 
 
 def test_qfi_pure_plus_state():
@@ -46,8 +46,6 @@ def test_qfi_matches_fidelity_finite_difference():
 
 def test_qfi_pure_state_variance_formula():
     for i in range(20):
-        from cohlab import haar_pure
-
         psi = haar_pure(4, child_rng(1001, i))
         d = psi.diag()
         for k in range(4):

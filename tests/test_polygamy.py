@@ -10,12 +10,10 @@ from cohlab import (
     child_rng,
     find_qubit_violations,
     ginibre_mixed,
-    haar_pure,
     maximally_coherent,
     partition_check,
     pure_polygamy_gap,
     qfi_projector,
-    random_unitary,
     sqrtm,
     sweep_polygamy,
     sweep_summary,
@@ -27,8 +25,10 @@ from cohlab.fixtures import max_coherent_pair, qubit_mixture_counterexample
 from cohlab.linalg import CHUNK_ENTRIES, RANK_TOL, partial_trace, validate_density
 from cohlab.polygamy import _records
 from oracles import (
+    haar_pure,
     partition_reference,
     product_coherence_commutator,
+    random_unitary,
     schmidt_marginal_coherences,
     skew_info_commutator,
 )
