@@ -9,9 +9,9 @@ import numpy as np
 from .coherence import Observable, _c_skew_of, _k_of
 from .errors import DimensionMismatch, IncompleteChannel
 from .linalg import DensityMatrix, _chunks, _count, _dim, _frozen, _from_spectrum, _hermitian
-from .linalg import _hermitian_part, _numeric, _require_finite, _spectrum, _validated
+from .linalg import _hermitian_part, _numeric, _require_finite, _seed, _spectrum, _validated
 from .linalg import validate_density
-from .rand import _child_rngs, _normalized_gram, _seed, as_rng
+from .rand import _child_rngs, _normalized_gram, as_rng
 
 COMPLETENESS_ATOL = 1e-9
 SUPPORT_TOL = 1e-12

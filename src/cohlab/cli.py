@@ -8,6 +8,11 @@ included, exit with code 2 and a machine-readable error object; fixture tables
 print values by ``repr`` and exit 1 when a row fails.  ``main`` reuses one
 parser per process: building it costs far more than parsing, and
 ``parse_args`` leaves it unchanged.
+
+Start-up loads only what every command needs: this module imports the
+standard library, ``errors`` and the seed rule in ``linalg`` (and so numpy),
+and each ``cmd_*`` imports the functions its branch calls, so a command loads
+only the modules it runs.
 """
 
 from __future__ import annotations
@@ -19,16 +24,8 @@ import os
 import sys
 
 from . import __version__
-from .coherence import coherence_report, k_coherence
-from .discord import discord_asym, discord_sym
 from .errors import CohlabError, DimensionMismatch, NotFinite, ParseError
-from .fixtures import _CHANNEL_FIXTURES, DISCORD_FIXTURES, _lookup, fixture_report
-from .measurement import estimate_measures, true_measures
-from .metrology import metrology_report
-from .channels import monotonicity_check, monotonicity_sweep
-from .polygamy import sweep_polygamy, sweep_summary
-from .rand import _seed
-from .serialize import matrix_to_obj, read_observable, read_state
+from .linalg import _seed
 
 ENV_SEED = "COHLAB_SEED"
 THREADS_HELP = "accepted and ignored: sweeps run in one thread"
@@ -65,6 +62,9 @@ def _parse_dims(text: str) -> tuple[int, int]:
 
 
 def cmd_compute(args) -> int:
+    from .coherence import coherence_report, k_coherence
+    from .serialize import read_observable, read_state
+
     rho = read_state(args.input)
     out = coherence_report(rho).to_dict()
     if args.observable:
@@ -75,6 +75,8 @@ def cmd_compute(args) -> int:
 
 
 def cmd_fixture(args) -> int:
+    from .fixtures import fixture_report
+
     rows = fixture_report(args.name, seed=args.seed)
     width = max(len(r.label) for r in rows)
     print(f"fixture {args.name}  (version {__version__}, seed {args.seed})")
@@ -107,6 +109,8 @@ def _csv_header(meta: dict, columns) -> list:
 
 
 def cmd_sweep(args) -> int:
+    from .polygamy import sweep_polygamy, sweep_summary
+
     dims = _parse_dims(args.dims)
     meta = _meta(args.seed, kind=args.kind, dims=list(dims), samples=args.samples)
     records = sweep_polygamy(dims, args.samples, args.seed)
@@ -128,11 +132,16 @@ def cmd_sweep(args) -> int:
 def cmd_monotonicity(args) -> int:
     columns = ["seed", "c_before", "c_avg_after", "c_after", "strong_ok", "weak_ok"]
     if args.fixture:
+        from .channels import monotonicity_check
+        from .fixtures import _CHANNEL_FIXTURES, _lookup
+
         rho, channel, obs = _lookup(_CHANNEL_FIXTURES, args.fixture)()
         verdict = monotonicity_check(channel, rho, measure=args.measure, observable=obs)
         meta = _meta(args.seed, measure=args.measure, fixture=args.fixture)
         rows = [(args.fixture, verdict)]
     else:
+        from .channels import monotonicity_sweep
+
         meta = _meta(args.seed, measure=args.measure, samples=args.samples, dim=args.dim)
         verdicts = monotonicity_sweep(args.measure, args.samples, args.dim, args.seed)
         rows = list(enumerate(verdicts))
@@ -147,9 +156,14 @@ def cmd_monotonicity(args) -> int:
 
 
 def cmd_discord(args) -> int:
+    from .discord import discord_asym, discord_sym
+    from .serialize import matrix_to_obj, read_state
+
     if args.fixture:
         if args.input is not None or args.dims is not None:
             raise ParseError("discord takes --fixture or --input and --dims, not both")
+        from .fixtures import DISCORD_FIXTURES, _lookup
+
         rho, dims = _lookup(DISCORD_FIXTURES, args.fixture)()["rho_f"], (2, 2)
     else:
         if not args.input or not args.dims:
@@ -172,6 +186,9 @@ def cmd_discord(args) -> int:
 
 
 def cmd_metrology(args) -> int:
+    from .metrology import metrology_report
+    from .serialize import read_state
+
     rho = read_state(args.input)
     out = metrology_report(rho, args.runs).to_dict()
     out["meta"] = _meta(args.seed, input=args.input, runs=args.runs)
@@ -180,6 +197,9 @@ def cmd_metrology(args) -> int:
 
 
 def cmd_simulate_measure(args) -> int:
+    from .measurement import estimate_measures, true_measures
+    from .serialize import read_state
+
     rho = read_state(args.input)
     est = estimate_measures(rho, args.shots, args.seed, exact_powers=args.exact_powers)
     out = {

@@ -168,6 +168,11 @@ def _count(n, least: int, what: str) -> int:
     return n
 
 
+def _seed(seed) -> int:
+    """``seed`` as a non-negative Python int by the ``_count`` rule, the one seed rule."""
+    return _count(seed, 0, "seed")
+
+
 def _dim(dim) -> int:
     """``dim`` as a positive Python int by the ``_index`` rule, else ``DimensionMismatch``."""
     dim = _index(dim)

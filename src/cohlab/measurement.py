@@ -17,8 +17,8 @@ import numpy as np
 
 from .coherence import _entropy_bits, _skew_sandwich, c_l2, c_rel_entropy
 from .errors import DimensionMismatch
-from .linalg import DensityMatrix, _count, _frozen, _numeric, _require_finite
-from .rand import _seed, as_rng, child_rng
+from .linalg import DensityMatrix, _count, _frozen, _numeric, _require_finite, _seed
+from .rand import as_rng, child_rng
 
 IMAG_TOL = 1e-6
 WELL_CONDITIONED_DIM = 6

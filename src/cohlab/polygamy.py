@@ -19,8 +19,8 @@ import numpy as np
 from .coherence import _c_skew_of, c_skew
 from .errors import BadPartition, NotPure
 from .linalg import RANK_TOL, DensityMatrix, _chunks, _clean_spectrum, _count, _dims, _partial_trace
-from .linalg import _spectrum, _subsystem_dims, _validated, partial_trace, validate_density
-from .rand import _child_rngs, _normalized_gram, _seed, child_rng
+from .linalg import _seed, _spectrum, _subsystem_dims, _validated, partial_trace, validate_density
+from .rand import _child_rngs, _normalized_gram, child_rng
 
 PURITY_TOL = 1e-8
 GAP_TOL = 1e-9

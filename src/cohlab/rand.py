@@ -13,12 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import DensityMatrix, _count, _dim, validate_density
-
-
-def _seed(seed) -> int:
-    """``seed`` as a non-negative Python int by the ``_count`` rule, the one seed rule."""
-    return _count(seed, 0, "seed")
+from .linalg import DensityMatrix, _dim, _seed, validate_density
 
 
 def as_rng(seed_or_rng) -> np.random.Generator:

@@ -687,8 +687,85 @@ def _fresh_python(code):
 
 
 def test_cli_import_loads_no_scipy():
-    code = "import sys, cohlab.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
-    assert _fresh_python(code) == "[]"
+    # start-up loads what every command needs: numpy, errors and the seed rule in linalg
+    code = ("import json, sys, cohlab.cli; cohlab.cli.build_parser(); "
+            "print(json.dumps(sorted(sys.modules)))")
+    loaded = json.loads(_fresh_python(code))
+    assert [m for m in loaded if m.split(".")[0] == "cohlab"] == [
+        "cohlab", "cohlab.cli", "cohlab.errors", "cohlab.linalg"]
+    assert [m for m in loaded if m.split(".")[0] == "scipy" or m.startswith("numpy.random")] == []
+    assert "numpy" in loaded
+
+
+@pytest.mark.parametrize("argv, unused", [
+    (["compute", "--input", "{state}"],
+     "rand channels polygamy discord fixtures measurement metrology numpy.random"),
+    (["metrology", "--input", "{state}", "--runs", "10"],
+     "rand channels polygamy discord fixtures measurement numpy.random"),
+    (["simulate-measure", "--input", "{state}", "--shots", "100"],
+     "channels polygamy discord fixtures metrology"),
+    (["sweep", "polygamy", "--dims", "2x2", "--samples", "3"],
+     "discord channels fixtures serialize measurement metrology"),
+    (["monotonicity", "--samples", "3", "--dim", "2"],
+     "discord polygamy fixtures serialize measurement metrology"),
+    (["discord", "--input", "{state}", "--dims", "2x2", "--restarts", "2"],
+     "fixtures polygamy measurement metrology"),
+    (["fixture", "theorem3-cnot"], "serialize measurement metrology"),
+], ids=["compute", "metrology", "simulate-measure", "sweep", "monotonicity", "discord-input",
+        "fixture"])
+def test_each_command_loads_only_the_modules_it_runs(tmp_path, argv, unused):
+    state = tmp_path / "rho.json"
+    write_state(str(state), ginibre_mixed(4, 35))
+    argv = [a.format(state=state) for a in argv]
+    code = ("import contextlib, io, json, sys, cohlab.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    status = cohlab.cli.main({argv!r})\n"
+            "print(json.dumps([status, sorted(sys.modules)]))")
+    status, loaded = json.loads(_fresh_python(code))
+    assert status == 0
+    unused = {m if "." in m else f"cohlab.{m}" for m in unused.split()}
+    assert [m for m in loaded if m in unused or m.split(".")[0] == "scipy"] == []
+
+
+# the package's public names, which resolve on first access
+PUBLIC = """
+    CoherenceReport DensityMatrix DiscordResult KrausChannel LocalBasis MeasurementEstimate
+    MetrologyReport MonotonicityVerdict Observable PolygamyRecord SelectiveOutcome ShotRecord
+    SpectrumEstimate affinity apply apply_selective basis_state bipartite_record c_l1 c_l2
+    c_rel_entropy c_skew child_rng coherence_report discord_asym discord_bound_check discord_sym
+    estimate_measures exact_trace_powers find_qubit_violations generalized_cnot ginibre_mixed
+    is_incoherent k_coherence l1_bounds local_basis maximally_coherent metrology_report
+    monotonicity_check monotonicity_sweep optimal_incoherent_state partial_trace partition_check
+    product_basis_coherence pure_polygamy_gap pure_state qfi_projector random_channel
+    random_incoherent_channel recover_spectrum rotated simulate_shots skew_bounds skew_info
+    skew_qfi_sandwich sqrtm subsystem_coherence sweep_polygamy sweep_summary tensor true_measures
+    validate_channel validate_density validate_observable
+""".split()
+SUBMODULES = ("serialize metrology measurement errors fixtures discord polygamy channels rand "
+              "coherence linalg cli").split()
+
+
+def test_public_names_and_submodules_resolve_on_the_package():
+    # perfbench reads submodules off the package object, e.g. cohlab.serialize.read_state
+    code = f"""
+import json, sys, cohlab, cohlab.cli
+subs = [m for m in {SUBMODULES!r} if getattr(cohlab, m) is not sys.modules["cohlab." + m]]
+homes = {{n: getattr(cohlab, n).__module__ for n in {PUBLIC!r}}}
+foreign = [n for n, home in homes.items() if vars(sys.modules[home]).get(n) is not getattr(cohlab, n)]
+star = {{}}
+exec("from cohlab import *", star)
+try:
+    unknown = repr(cohlab.no_such_name)
+except AttributeError as exc:
+    unknown = str(exc)
+print(json.dumps([subs, sorted(set(homes.values())), foreign, sorted(star), unknown]))
+"""
+    subs, homes, foreign, star, unknown = json.loads(_fresh_python(code))
+    assert subs == [] and foreign == []
+    assert homes == [f"cohlab.{m}" for m in sorted(
+        "channels coherence discord linalg measurement metrology polygamy rand".split())]
+    assert sorted(set(star) - {"__builtins__"}) == sorted(PUBLIC) and len(PUBLIC) == 64
+    assert unknown == "module 'cohlab' has no attribute 'no_such_name'"
 
 
 def test_cli_start_builds_no_fixture():
