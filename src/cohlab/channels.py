@@ -8,16 +8,10 @@ import numpy as np
 
 from .coherence import Observable, _c_skew_of, _k_of
 from .errors import DimensionMismatch, IncompleteChannel
-from .linalg import DensityMatrix, _chunks, _count, _dim, _frozen, _from_spectrum, _hermitian
-from .linalg import _hermitian_part, _numeric, _require_finite, _seed, _spectrum, _validated
-from .linalg import validate_density
+from .linalg import ATOL, ZERO_TOL, DensityMatrix, _chunks, _count, _dim, _frozen, _from_spectrum
+from .linalg import _hermitian, _hermitian_part, _numeric, _require_finite, _seed, _spectrum
+from .linalg import _validated, validate_density
 from .rand import _child_rngs, _normalized_gram, as_rng
-
-COMPLETENESS_ATOL = 1e-9
-SUPPORT_TOL = 1e-12
-OUTCOME_TOL = 1e-12
-MONOTONE_TOL = 1e-9
-
 
 @dataclass(frozen=True)
 class KrausChannel:
@@ -55,8 +49,8 @@ def _residuals(ops: np.ndarray) -> np.ndarray:
 
 def _require_complete(ops: np.ndarray):
     res = float(_residuals(ops).max())
-    if not res <= COMPLETENESS_ATOL:  # a NaN residual fails too
-        raise IncompleteChannel(f"completeness residual {res:.3e} exceeds {COMPLETENESS_ATOL:.1e}")
+    if not res <= ATOL:  # a NaN residual fails too
+        raise IncompleteChannel(f"completeness residual {res:.3e} exceeds {ATOL:.1e}")
 
 
 def _kraus_stack(ops) -> np.ndarray:
@@ -73,7 +67,7 @@ def _kraus_stack(ops) -> np.ndarray:
 
 def validate_channel(ops) -> KrausChannel:
     """Copy ``ops``, checked by ``_kraus_stack``, into one frozen stack; a set incomplete
-    beyond ``COMPLETENESS_ATOL`` raises ``IncompleteChannel``."""
+    beyond ``ATOL`` raises ``IncompleteChannel``."""
     ops = _kraus_stack(ops).copy()
     _require_complete(ops)
     return KrausChannel(_frozen(ops))
@@ -82,10 +76,10 @@ def validate_channel(ops) -> KrausChannel:
 def is_incoherent(ch: KrausChannel) -> bool:
     """True iff every Kraus operator maps each basis column into a single ray.
 
-    At most one entry per column may exceed ``SUPPORT_TOL`` in modulus; this is
+    At most one entry per column may exceed ``ZERO_TOL`` in modulus; this is
     the exact condition for the operator to keep every diagonal state diagonal.
     """
-    return not np.any((np.abs(ch.operators) > SUPPORT_TOL).sum(axis=1) > 1)
+    return not np.any((np.abs(ch.operators) > ZERO_TOL).sum(axis=1) > 1)
 
 
 def _terms(ops: np.ndarray, mat: np.ndarray) -> np.ndarray:
@@ -103,13 +97,13 @@ def apply(ch: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
 def apply_selective(ch: KrausChannel, rho: DensityMatrix) -> list:
     """Selective action: normalized outcome per Kraus operator.
 
-    Outcomes with probability below 1e-12 are dropped (the normalized state
+    Outcomes with probability below ``ZERO_TOL`` are dropped (the normalized state
     is undefined at zero probability).
     """
     terms = _terms(ch.operators, rho.mat)
     probs = terms.trace(axis1=1, axis2=2).real.tolist()
     return [SelectiveOutcome(p, validate_density(t / p))
-            for p, t in zip(probs, terms) if p >= OUTCOME_TOL]
+            for p, t in zip(probs, terms) if p >= ZERO_TOL]
 
 
 @dataclass(frozen=True)
@@ -132,7 +126,7 @@ def monotonicity_check(
     ``measure`` selects the projector-summed skew measure (``"skew"``) or the
     full-observable variant (``"k"``, requires ``observable``).  The check
     runs for any channel and records the verdict; incoherence of the channel
-    is the caller's claim to assert.  Both verdicts allow ``MONOTONE_TOL``.
+    is the caller's claim to assert.  Both verdicts allow ``ATOL``.
     """
     ks = None
     if _require_measure(measure) == "k":
@@ -165,7 +159,7 @@ def _verdicts(ops, mat, w, v, ks) -> list:
 
     ``ops`` is one ``(m, K, d, d)`` stack, ``K = d + 1`` for a sweep chunk; a
     channel with fewer than ``K`` operators ends in zero operators, whose
-    outcomes fall below ``OUTCOME_TOL`` and whose terms add zeros after the
+    outcomes fall below ``ZERO_TOL`` and whose terms add zeros after the
     real ones, so each verdict keeps the bits of its channel alone.  ``ks[j]``
     is the observable of state ``j`` for the ``"k"`` measure, and ``ks`` None
     selects c_skew.  The channel outputs of all states and their kept outcomes
@@ -175,7 +169,7 @@ def _verdicts(ops, mat, w, v, ks) -> list:
     m = len(ops)
     terms = _terms(ops, mat[:, None])
     probs = terms.trace(axis1=-2, axis2=-1).real
-    kept = probs >= OUTCOME_TOL
+    kept = probs >= ZERO_TOL
     stack = np.concatenate([terms.sum(axis=1), terms[kept] / probs[kept, None, None]])
     owners = np.concatenate([np.arange(m), np.nonzero(kept)[0]])  # the state of each entry
     c_out = _coherence(*_spectrum(stack), ks if ks is None else ks[owners])
@@ -184,7 +178,7 @@ def _verdicts(ops, mat, w, v, ks) -> list:
     weighted[kept] = probs[kept] * c_out[m:]
     c_avg = [sum(row) for row in weighted.tolist()]
     return [
-        MonotonicityVerdict(b, a, f, strong_ok=a <= b + MONOTONE_TOL, weak_ok=f <= b + MONOTONE_TOL)
+        MonotonicityVerdict(b, a, f, strong_ok=a <= b + ATOL, weak_ok=f <= b + ATOL)
         for b, a, f in zip(c_before, c_avg, c_out[:m].tolist())
     ]
 
@@ -214,7 +208,7 @@ def _incoherent_ops(rows: np.ndarray, amps: np.ndarray) -> np.ndarray:
     with amplitude ``amps[j, n, c]`` over the norm of column ``c`` across the
     channel's operators; zero amplitudes give the zero operators that pad a
     channel to ``K``.  As in ``validate_channel``, non-finite entries raise
-    ``NotFinite`` and a completeness residual beyond ``COMPLETENESS_ATOL``
+    ``NotFinite`` and a completeness residual beyond ``ATOL``
     raises ``IncompleteChannel``.
     """
     m, k, dim = amps.shape

@@ -199,7 +199,7 @@ def discord_asym(rho_ab: DensityMatrix, dims, restarts: int = 32, seed: int = 0)
 
 
 def __getattr__(name):
-    # only perfbench/tracer.py reads ``minimize``; lazy so cohlab loads no scipy (ROADMAP item 5)
+    # only perfbench/tracer.py reads ``minimize``; lazy so cohlab loads no scipy (ROADMAP item 1)
     if name == "minimize":
         from scipy.optimize import minimize
         return minimize

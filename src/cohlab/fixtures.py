@@ -21,7 +21,7 @@ import numpy as np
 
 from .channels import KrausChannel, apply, monotonicity_check, normalize_kraus, validate_channel
 from .coherence import Observable, c_skew, validate_observable
-from .discord import discord_bound_check, generalized_cnot
+from .discord import CONVERGENCE_GAP, discord_bound_check, generalized_cnot
 from .errors import UnknownFixture
 from .linalg import (
     DensityMatrix,
@@ -188,7 +188,7 @@ def _report_theorem3(fx: dict, seed: int) -> list:
     check = discord_bound_check(fx["sigma_a"], fx["sigma_b"], fx["channel"], seed=seed)
     value, budget = check["discord_after"], check["bound"]
     if fx["expected_discord"] == fx["bound"]:
-        last = _row("attained", abs(value - budget) <= 1e-5, True)
+        last = _row("attained", abs(value - budget) <= CONVERGENCE_GAP, True)
     else:
         last = _row("below_budget", value < budget, True)
     return [
@@ -215,7 +215,6 @@ _REPORTS = {
     "theorem3-block": lambda seed: _report_theorem3(block_unitary_example(), seed),
     "max-coherent-3x3": lambda seed: _report_max_coherent(),
 }
-FIXTURE_NAMES = tuple(_REPORTS)
 DISCORD_FIXTURES = {"theorem3-cnot": cnot_attainment, "theorem3-block": block_unitary_example}
 _CHANNEL_FIXTURES = {"appendix-a": k_coherence_counterexample}
 

@@ -24,7 +24,8 @@ from .errors import (
     NotUnitTrace,
 )
 
-ATOL = 1e-9  # the one tolerance of the input gate: Hermiticity, unit trace, PSD, unitarity
+ATOL = 1e-9  # the one roundoff tolerance: the input gate, Kraus completeness too, and every verdict
+ZERO_TOL = 1e-12  # below it a modulus, probability, l_i + l_j, information or |negative gap| is 0
 RANK_TOL = 1e-10
 CHUNK_ENTRIES = 8192  # matrix entries in the largest stack a sweep builds; bounds its memory
 

@@ -15,10 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coherence import _skew_per_k, c_skew, skew_info
-from .linalg import DensityMatrix, _count, _index
-
-SPECTRAL_CUTOFF = 1e-12
-SANDWICH_TOL = 1e-9
+from .linalg import ATOL, ZERO_TOL, DensityMatrix, _count, _index
 
 
 def qfi_projector(rho: DensityMatrix, k: int) -> float:
@@ -36,14 +33,14 @@ def _qfi_ratio(w: np.ndarray) -> np.ndarray:
     """``(l_i - l_j)^2 / (l_i + l_j)``, zero where ``l_i + l_j`` is below the cutoff."""
     s = w[:, None] + w[None, :]
     num = (w[:, None] - w[None, :]) ** 2
-    return np.divide(num, s, out=np.zeros_like(s), where=s > SPECTRAL_CUTOFF)
+    return np.divide(num, s, out=np.zeros_like(s), where=s > ZERO_TOL)
 
 
 def skew_qfi_sandwich(rho: DensityMatrix, k: int) -> dict:
-    """Check I <= F_Q/4 <= 2I for one basis index, each side within ``SANDWICH_TOL``."""
+    """Check I <= F_Q/4 <= 2I for one basis index, each side within ``ATOL``."""
     i = skew_info(rho, k)
     fq = qfi_projector(rho, k)
-    ok = (i <= fq / 4.0 + SANDWICH_TOL) and (fq / 4.0 <= 2.0 * i + SANDWICH_TOL)
+    ok = (i <= fq / 4.0 + ATOL) and (fq / 4.0 <= 2.0 * i + ATOL)
     return {"skew": i, "qfi": fq, "ok": ok}
 
 
@@ -84,7 +81,7 @@ def metrology_report(rho: DensityMatrix, n_runs: int) -> MetrologyReport:
     # qfi_projector per row of |V|^2: a batched (A @ ratio * A).sum(1) or einsum changes the bits
     for k, (i, a) in enumerate(zip(_skew_per_k(rho).tolist(), np.abs(rho.eigenvectors) ** 2)):
         fq = float(2.0 * a @ ratio @ a)
-        finite = fq > SPECTRAL_CUTOFF
+        finite = fq > ZERO_TOL
         if finite:
             sum_inv += n * fq
         else:
@@ -94,8 +91,8 @@ def metrology_report(rho: DensityMatrix, n_runs: int) -> MetrologyReport:
                 "skew": i,
                 "qfi": fq,
                 "var_opt": 1.0 / (n * fq) if finite else math.inf,
-                "var_lower": 1.0 / (8.0 * n * i) if i > SPECTRAL_CUTOFF else math.inf,
-                "var_upper": 1.0 / (4.0 * n * i) if i > SPECTRAL_CUTOFF else math.inf,
+                "var_lower": 1.0 / (8.0 * n * i) if i > ZERO_TOL else math.inf,
+                "var_upper": 1.0 / (4.0 * n * i) if i > ZERO_TOL else math.inf,
                 "finite": finite,
             }
         )
@@ -108,6 +105,6 @@ def metrology_report(rho: DensityMatrix, n_runs: int) -> MetrologyReport:
         "avg_var_lower": 1.0 / upper if upper > 0.0 else math.inf,
         "avg_var_upper": 1.0 / lower if lower > 0.0 else math.inf,
         "excluded_k": excluded,
-        "ok": lower - SANDWICH_TOL <= sum_inv <= upper + SANDWICH_TOL,
+        "ok": lower - ATOL <= sum_inv <= upper + ATOL,
     }
     return MetrologyReport(n_runs=n_runs, per_k=tuple(per_k), aggregate=aggregate)

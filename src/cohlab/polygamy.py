@@ -18,12 +18,12 @@ import numpy as np
 
 from .coherence import _c_skew_of, c_skew
 from .errors import BadPartition, NotPure
-from .linalg import RANK_TOL, DensityMatrix, _chunks, _clean_spectrum, _count, _dims, _partial_trace
-from .linalg import _seed, _spectrum, _subsystem_dims, _validated, partial_trace, validate_density
+from .linalg import ATOL, RANK_TOL, ZERO_TOL, DensityMatrix, _chunks, _clean_spectrum, _count
+from .linalg import _dims, _partial_trace, _seed, _spectrum, _subsystem_dims, _validated
+from .linalg import partial_trace, validate_density
 from .rand import _child_rngs, _normalized_gram, child_rng
 
 PURITY_TOL = 1e-8
-GAP_TOL = 1e-9
 JITTER = 0.01  # standard deviation of find_qubit_violations' perturbations of the fixture
 
 
@@ -98,7 +98,8 @@ class PolygamyRecord:
         return (1.0 - self.c_a) * (1.0 - self.c_b) - (1.0 - self.c_joint) ** 2 / self.c_s
 
     def theorem_gaps(self) -> dict:
-        """The four proven mixed-state inequality gaps."""
+        """Five gaps of the four proven mixed-state inequalities: the lambda form's gap is split
+        into ``marginal_vs_diag`` and ``diag_vs_lambda``, which sum to it."""
         return {
             "marginal_vs_diag": self.gap_marginal_vs_diag(),
             "diag_vs_lambda": self.gap_diag_vs_lambda(),
@@ -170,7 +171,7 @@ def partition_check(rho: DensityMatrix, dims, tree) -> dict:
     product form is prod_leaves (1 - C_leaf) >= lambda_M (1 - C) with
     lambda_M = prod_s lambda_min(s); the symmetric form is prod_leaves
     (1 - C_leaf)^e_leaf >= (1 - C)^2 / c_ST with c_ST = prod_s c_s(s)^(2^-d_s),
-    where e_leaf is 2^-d_s of the leaf's parent split.  Both allow ``GAP_TOL``.
+    where e_leaf is 2^-d_s of the leaf's parent split.  Both allow ``ATOL``.
     """
     dims = _subsystem_dims(rho, dims)
     n = len(dims)
@@ -209,10 +210,10 @@ def partition_check(rho: DensityMatrix, dims, tree) -> dict:
         "splits": splits,
         "lhs_product": lhs_lambda,
         "lambda_m": lambda_m,
-        "ok_lambda_form": lhs_lambda >= lambda_m * one_minus_joint - GAP_TOL,
+        "ok_lambda_form": lhs_lambda >= lambda_m * one_minus_joint - ATOL,
         "lhs_symmetric": lhs_sym,
         "c_st": c_st,
-        "ok_symmetric_form": lhs_sym >= one_minus_joint**2 / c_st - GAP_TOL,
+        "ok_symmetric_form": lhs_sym >= one_minus_joint**2 / c_st - ATOL,
     }
 
 
@@ -274,6 +275,6 @@ def find_qubit_violations(seed: int, n_trials: int = 50) -> list:
             v2 = v2 / np.linalg.norm(v2)
         mix = p * np.outer(v1, np.conj(v1)) + (1.0 - p) * np.outer(v2, np.conj(v2))
         rec = bipartite_record(validate_density(mix), (2, 2))
-        if rec.gap_pure_form < -1e-12:
+        if rec.gap_pure_form < -ZERO_TOL:
             found.append((i, rec))
     return found

@@ -21,13 +21,14 @@ from cohlab import (
     validate_density,
 )
 from cohlab import channels
-from cohlab.channels import COMPLETENESS_ATOL, completeness_residual, normalize_kraus
+from cohlab.channels import completeness_residual, normalize_kraus
 from cohlab.coherence import validate_observable
 from cohlab.errors import DimensionMismatch, IncompleteChannel, NegativeCount
 from cohlab.fixtures import (
     k_coherence_counterexample,
     printed_counterexample_ops,
 )
+from cohlab.linalg import ATOL
 from oracles import kraus_draws, monotonicity_reference, monotonicity_sweep_reference, random_hermitian
 
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
@@ -94,9 +95,9 @@ def test_validate_channel_freezes_a_copy_of_the_stack():
 @settings(max_examples=60, deadline=None)
 @given(st.integers(2, 4), st.integers(1, 4), st.integers(0, 2**16), st.floats(-1.5e-9, 1.5e-9))
 def test_completeness_boundary_is_the_residual(dim, n_kraus, seed, eps):
-    # scaling by 1 + eps moves the residual to about 2|eps|, across COMPLETENESS_ATOL
+    # scaling by 1 + eps moves the residual to about 2|eps|, across ATOL
     ops = random_channel(dim, n_kraus, seed).operators * (1.0 + eps)
-    if completeness_residual(ops) <= COMPLETENESS_ATOL:
+    if completeness_residual(ops) <= ATOL:
         assert np.array_equal(validate_channel(ops).operators, ops)
     else:
         with pytest.raises(IncompleteChannel):

@@ -13,11 +13,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cohlab
-from cohlab import ginibre_mixed, maximally_coherent
+from cohlab import ginibre_mixed, maximally_coherent, validate_density
 from cohlab import cli
 from cohlab.cli import main
-from cohlab.errors import CohlabError, NotUnitTrace, ParseError, UnknownFixture
-from cohlab.fixtures import FIXTURE_NAMES, block_unitary_example, cnot_attainment, fixture_report
+from cohlab.errors import CohlabError, ConvergenceFailure, NotUnitTrace, ParseError, UnknownFixture
+from cohlab.fixtures import block_unitary_example, cnot_attainment, fixture_report
 from cohlab.serialize import matrix_to_obj, read_state
 
 from oracles import random_hermitian, state_to_obj, write_state
@@ -223,6 +223,21 @@ def test_argument_errors_print_json_and_exit_2(argv, capsys):
     assert capsys.readouterr().err == ""
 
 
+def test_an_eigensolver_failure_is_a_typed_error(monkeypatch, plus_file):
+    def fail(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    with pytest.raises(ConvergenceFailure, match="did not converge"):
+        validate_density(np.eye(2) / 2)
+    code, out = run_cli(["compute", "--input", plus_file])
+    assert code == 2
+    assert json.loads(out) == {
+        "error": "ConvergenceFailure",
+        "detail": "eigendecomposition did not converge: Eigenvalues did not converge",
+    }
+
+
 def test_help_still_prints_usage_and_exits_0():
     buf = io.StringIO()
     with redirect_stdout(buf), pytest.raises(SystemExit) as exc:
@@ -232,7 +247,7 @@ def test_help_still_prints_usage_and_exits_0():
 
 
 def test_fixture_reports_exist_for_all_names():
-    for name in FIXTURE_NAMES:
+    for name in ("appendix-a", "appendix-d", "theorem3-cnot", "theorem3-block", "max-coherent-3x3"):
         rows = fixture_report(name, seed=0)
         assert rows
         labels = [r.label for r in rows]

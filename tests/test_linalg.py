@@ -267,11 +267,12 @@ def test_partial_trace_dimension_check():
     lambda rho: maximally_coherent(2.5),
     lambda rho: maximally_coherent(-1),
     lambda rho: generalized_cnot(2.5),
+    lambda rho: generalized_cnot(1),
     lambda rho: ginibre_mixed(2.5, 1),
     lambda rho: ginibre_mixed(0, 1),
 ], ids=["basis-past-end", "basis-negative", "basis-float", "keep-string", "keep-float",
         "keep-float-list", "skew-float", "qfi-float", "skew-bool", "qfi-bool",
-        "max-coherent-float", "max-coherent-negative", "cnot-float", "ginibre-float",
+        "max-coherent-float", "max-coherent-negative", "cnot-float", "cnot-one", "ginibre-float",
         "ginibre-zero"])
 def test_index_arguments_are_integers_in_range(call):
     # numpy once raised IndexError/TypeError here, or read -1 as the last index and 0.5 as 0

@@ -237,6 +237,8 @@ def test_partition_rejects_malformed_nodes():
         partition_check(rho, [2, 2, 2], ((0, 1, 2), ()))
     with pytest.raises(BadPartition):
         partition_check(rho, [2, 2, 2], (0, ((1,), (2,))))
+    with pytest.raises(BadPartition, match="^tree root must split into at least two blocks$"):
+        partition_check(rho, [2, 2, 2], (0, 1, 2))  # the root is a leaf
     for node in (1.5, None):  # neither a leaf tuple nor a split
         with pytest.raises(BadPartition):
             partition_check(rho, [2, 2, 2], ((0,), node))

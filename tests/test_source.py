@@ -66,6 +66,17 @@ def test_every_private_helper_is_used_in_the_package():
     assert sorted(f"{module}: {name}" for module, name in helpers if name not in used) == []
 
 
+def test_every_module_level_name_is_read_in_the_package():
+    # a constant or table that no other statement of the package reads is dead code, as an unused
+    # helper is, so tests/ is not searched
+    stmts = [(module, stmt) for module, tree in package_trees().items() for stmt in tree.body]
+    reads = [referenced(stmt) for _, stmt in stmts]
+    assert sorted(f"{module}: {name}" for i, (module, stmt) in enumerate(stmts)
+                  if isinstance(stmt, (ast.Assign, ast.AnnAssign))
+                  for name in defined(stmt) if not name.startswith("__")  # dunders are read by Python
+                  and not any(name in r for j, r in enumerate(reads) if j != i)) == []
+
+
 def test_every_public_name_is_reached():
     # from what the CLI and the acceptance suite read, follow the package's definitions; a
     # public function or class that only the other tests call belongs in tests/oracles.py, or
