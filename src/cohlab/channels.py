@@ -9,7 +9,7 @@ import numpy as np
 from .coherence import Observable, _c_skew_of, _k_of
 from .errors import DimensionMismatch, IncompleteChannel
 from .linalg import ATOL, ZERO_TOL, DensityMatrix, _chunks, _count, _dim, _frozen, _from_spectrum
-from .linalg import _hermitian, _hermitian_part, _numeric, _require_finite, _seed, _spectrum
+from .linalg import _hermitian_part, _numeric, _require_finite, _seed, _spectrum
 from .linalg import _validated, validate_density
 from .rand import _child_rngs, _normalized_gram, as_rng
 
@@ -286,7 +286,7 @@ def monotonicity_sweep(measure: str, samples: int, dim: int, seed: int) -> list:
             tails[j] = z[-tail:].reshape(factors, 2, dim, dim)
         g = tails[:, :, 0] + 1j * tails[:, :, 1]
         states = _validated(_normalized_gram(g[:, 0]))
-        ks = _hermitian(_hermitian_part(g[:, 1])) if factors == 2 else None
+        ks = _hermitian_part(g[:, 1]) if factors == 2 else None
         ops = _incoherent_ops(rows, normals[:, 0] + 1j * normals[:, 1])
         verdicts += _verdicts(ops, *states, ks)
     return verdicts

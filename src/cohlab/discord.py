@@ -6,9 +6,9 @@ discord the joint coherence over product bases W.  Both are 1 minus the summed
 objective that Jacobi sweeps maximize with closed-form pair rotations (Cardoso and
 Souloumiac, SIAM J. Matrix Anal. Appl. 17, 161 (1996)); for a qubit A one rotation
 is optimal, so ``discord_asym`` is exact there (Girolami et al., PRL 110, 240402).
-All ``restarts`` starts are swept as one stack; the best is returned, valued from the swept
-sqrt(rho) in its bases.  ``converged`` says there were at least two restarts, the two best
-agree within ``CONVERGENCE_GAP`` and the best beat the sweep cap; one restart never converges.
+The ``restarts`` starts are swept as one stack that each restart leaves once it stops; the best
+is returned, valued from the swept sqrt(rho) in its bases.  ``converged`` says there were at
+least two restarts, the two best agree within ``CONVERGENCE_GAP`` and the best beat the sweep cap.
 """
 
 from __future__ import annotations
@@ -120,7 +120,7 @@ def _kept_weight(m: np.ndarray, kept: np.ndarray) -> np.ndarray:
     return np.einsum("rbca,bc->r", np.abs(m.diagonal(axis1=1, axis2=3)) ** 2, kept)
 
 
-def _rotate_pair(m, u, pair, kept, active):
+def _rotate_pair(m, u, pair, kept):
     """Optimal rotation of an index pair of the subsystem on axes 1 and 3 of ``m``, in place.
 
     A rotation with Bloch vector n maps the kept blocks X = M[pair, b, pair, b'] to
@@ -134,7 +134,6 @@ def _rotate_pair(m, u, pair, kept, active):
                   x[:, 0, :, 0] - x[:, 1, :, 1]], 1).reshape(len(x), 3, -1)
     n = np.linalg.eigh((v @ v.conj().swapaxes(1, 2)).real)[1][:, :, -1]
     n = np.where(n[:, 2:] < 0.0, -n, n)
-    n[~active] = (0.0, 0.0, 1.0)
     c = np.sqrt((1.0 + n[:, 2]) / 2.0)
     s = (n[:, 0] + 1j * n[:, 1]) / (2.0 * c)
     g = np.stack([c, -s.conj(), s, c], 1).reshape(-1, 2, 2)
@@ -143,18 +142,18 @@ def _rotate_pair(m, u, pair, kept, active):
     m[:, :, :, p] = np.einsum("rabjc,rjl->rablc", m[:, :, :, p], g)
 
 
-def _sweep(m, ua, ub, kept, active):
+def _sweep(m, ua, ub, kept):
     """One Jacobi sweep in place: every index pair of A, then of B unless ``ub`` is None."""
     da, db = m.shape[1:3]
     for pair in combinations(range(da), 2):
-        _rotate_pair(m, ua, pair, kept, active)
+        _rotate_pair(m, ua, pair, kept)
     mb, eye = m.transpose(0, 2, 1, 4, 3), np.eye(da)
     for pair in combinations(range(db) if ub is not None else (), 2):
-        _rotate_pair(mb, ub, pair, eye, active)
+        _rotate_pair(mb, ub, pair, eye)
 
 
 def _solve(rho_ab, dims, restarts, seed, sym) -> DiscordResult:
-    """Sweep every start as one stack; the best restart, valued from ``s`` in its bases."""
+    """Sweep the restarts still moving as one stack; the best, valued from ``s`` in its bases."""
     da, db = _subsystem_dims(rho_ab, dims, 2)
     restarts = _count(restarts, 1, "restart count")
     s = sqrtm(rho_ab)
@@ -162,20 +161,21 @@ def _solve(rho_ab, dims, restarts, seed, sym) -> DiscordResult:
     w = np.einsum("rac,rbd->rabcd", ua, ub).reshape(len(ua), da * db, da * db)
     m = (w.conj().swapaxes(1, 2) @ s @ w).reshape(-1, da, db, da, db)
     kept = np.eye(db) if sym else np.ones((db, db))
-    weight = _kept_weight(m, kept)
-    active, sweeps = np.ones(len(m), dtype=bool), np.zeros(len(m), dtype=int)
-    while active.any() and sweeps.max() < MAX_SWEEPS:
-        _sweep(m, ua, ub if sym else None, kept, active)
-        sweeps += active
-        new = _kept_weight(m, kept)
-        active &= new - weight > SWEEP_TOL
-        weight = new
+    weight, sweeps = _kept_weight(m, kept), np.zeros(restarts, dtype=int)
+    rows, wa, wb, k = np.arange(restarts), ua, ub, 0  # the moving restarts, their bases, sweeps
+    while len(rows) and k < MAX_SWEEPS:
+        _sweep(m, wa, wb if sym else None, kept)
+        k, new = k + 1, _kept_weight(m, kept)
+        go, weight[rows] = new - weight[rows] > SWEEP_TOL, new
+        if not go.all() or k == MAX_SWEEPS:  # write the stack back by restart; stopped rows leave
+            ua[rows], ub[rows], sweeps[rows] = wa, wb, k
+            rows, m, wa, wb = rows[go], m[go], wa[go], wb[go]
     best = int(np.argmax(weight))
     basis = local_basis(ua[best], ub[best])
     value = (_product_value(s, np.kron(basis.u_a, basis.u_b)) if sym
              else _subsystem_value(s, (da, db), basis.u_a))
-    converged = len(m) > 1 and not active[best] and np.ptp(np.sort(weight)[-2:]) <= CONVERGENCE_GAP
-    return DiscordResult(max(value, 0.0), basis, len(m), bool(converged), int(sweeps[best]))
+    converged = restarts > 1 and best not in rows and np.ptp(np.sort(weight)[-2:]) <= CONVERGENCE_GAP
+    return DiscordResult(max(value, 0.0), basis, restarts, bool(converged), int(sweeps[best]))
 
 
 def discord_sym(rho_ab: DensityMatrix, dims, restarts: int = 32, seed: int = 0) -> DiscordResult:
@@ -199,7 +199,7 @@ def discord_asym(rho_ab: DensityMatrix, dims, restarts: int = 32, seed: int = 0)
 
 
 def __getattr__(name):
-    # only perfbench/tracer.py reads ``minimize``; lazy so cohlab loads no scipy (ROADMAP item 1)
+    # only perfbench/tracer.py reads ``minimize``; lazy, so that cohlab loads no scipy
     if name == "minimize":
         from scipy.optimize import minimize
         return minimize

@@ -41,6 +41,10 @@ class NegativeCount(CohlabError):
     """A count or a seed is below its least value."""
 
 
+class CountTooLarge(CohlabError):
+    """A count is above what numpy can take: a 64-bit integer, or a float."""
+
+
 class BadPartition(CohlabError):
     """Partition tree leaves do not partition the subsystem index set."""
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coherence import _entropy_bits, _skew_sandwich, c_l2, c_rel_entropy
-from .errors import DimensionMismatch
+from .errors import CountTooLarge, DimensionMismatch
 from .linalg import DensityMatrix, _count, _frozen, _numeric, _require_finite, _seed
 from .rand import as_rng, child_rng
 
@@ -50,6 +50,8 @@ class ShotRecord:
 def simulate_shots(rho: DensityMatrix, n: int, shots: int, rng) -> ShotRecord:
     """Sample the probe's +1 count: Binomial(shots, (1 + Tr rho^n)/2)."""
     n, shots = _count(n, 2, "probe power"), _count(shots, 1, "shot count")
+    if shots > np.iinfo(np.int64).max:  # the most trials numpy's binomial draws
+        raise CountTooLarge(f"shot count {shots} is above 2**63 - 1")
     p_plus = float(np.clip((1.0 + np.sum(rho.eigenvalues**n)) / 2.0, 0.0, 1.0))
     plus = int(as_rng(rng).binomial(shots, p_plus))
     return ShotRecord(power=n, shots=shots, plus_count=plus)

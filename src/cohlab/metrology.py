@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coherence import _skew_per_k, c_skew, skew_info
+from .errors import CountTooLarge
 from .linalg import ATOL, ZERO_TOL, DensityMatrix, _count, _index
 
 
@@ -72,7 +73,10 @@ def metrology_report(rho: DensityMatrix, n_runs: int) -> MetrologyReport:
     the inverse-variance sum (their contribution is genuinely zero).
     """
     n_runs = _count(n_runs, 1, "run count")
-    n = float(n_runs)
+    try:
+        n = float(n_runs)
+    except OverflowError as exc:
+        raise CountTooLarge(f"run count {n_runs} is above the largest float") from exc
     coh = c_skew(rho)
     ratio = _qfi_ratio(rho.eigenvalues)
     per_k = []

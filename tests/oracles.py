@@ -287,7 +287,7 @@ def random_start_unitaries(seed, dims, restarts, sym):
     return ua, ub
 
 
-def rotate_pair_fancy(m, u, pair, kept, active):
+def rotate_pair_fancy(m, u, pair, kept):
     """The discord pair rotation through fancy-index copies and writes, in place.
 
     The same arithmetic as ``cohlab.discord._rotate_pair``, with the index pair
@@ -299,7 +299,6 @@ def rotate_pair_fancy(m, u, pair, kept, active):
                   x[:, 0, :, 0] - x[:, 1, :, 1]], 1).reshape(len(x), 3, -1)
     n = np.linalg.eigh((v @ v.conj().swapaxes(1, 2)).real)[1][:, :, -1]
     n = np.where(n[:, 2:] < 0.0, -n, n)
-    n[~active] = (0.0, 0.0, 1.0)
     c = np.sqrt((1.0 + n[:, 2]) / 2.0)
     s = (n[:, 0] + 1j * n[:, 1]) / (2.0 * c)
     g = np.stack([c, -s.conj(), s, c], 1).reshape(-1, 2, 2)

@@ -464,6 +464,16 @@ def test_simulate_measure_checks_shots_with_exact_powers(shots, plus_file):
     assert json.loads(out) == {"error": "NegativeCount", "detail": f"shot count {shots} is below 1"}
 
 
+@pytest.mark.parametrize("command, flag, count, detail", [
+    ("simulate-measure", "--shots", 10**20, f"shot count {10**20} is above 2**63 - 1"),
+    ("metrology", "--runs", 10**400, f"run count {10**400} is above the largest float"),
+], ids=["shots", "runs"])
+def test_counts_numpy_cannot_take_exit_2(command, flag, count, detail, plus_file):
+    code, out = run_cli([command, "--input", plus_file, flag, str(count)])
+    assert code == 2
+    assert json.loads(out) == {"error": "CountTooLarge", "detail": detail}
+
+
 def test_env_seed_override(plus_file, monkeypatch):
     monkeypatch.setenv("COHLAB_SEED", "77")
     code, out = run_cli(["compute", "--input", plus_file])

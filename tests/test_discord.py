@@ -1,4 +1,5 @@
-from itertools import combinations
+import hashlib
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -207,6 +208,20 @@ def test_discord_same_seed_bit_identical(solve, dims):
     assert np.array_equal(a.basis.u_b, b.basis.u_b)
 
 
+def test_solve_grid_digest_is_pinned():
+    # value, both bases, restarts_used, converged and sweeps of every solve on the grid
+    states = [(rho, dims) for dims in [(2, 2), (2, 3), (3, 2), (2, 4), (3, 3)] for rho in
+              (ginibre_mixed(dims[0] * dims[1], child_rng(919, 10 * dims[0] + dims[1] + i))
+               for i in range(4))]
+    states += [(cnot_attainment()["rho_f"], (2, 2)), (block_unitary_example()["rho_f"], (2, 2))]
+    h = hashlib.sha256()
+    for (rho, dims), solve, restarts in product(states, (discord_sym, discord_asym), (1, 2, 3, 8)):
+        res = solve(rho, dims, restarts=restarts, seed=restarts)
+        h.update(np.float64(res.value).tobytes() + res.basis.u_a.tobytes() + res.basis.u_b.tobytes())
+        h.update(f"{res.restarts_used},{res.converged},{res.sweeps};".encode())
+    assert h.hexdigest() == "764e5d5bfa5bc724df674c134b1fd4a1be6b5c61698157971413942479d347a3"
+
+
 @pytest.mark.parametrize("sym, dims", [(True, (3, 3)), (True, (2, 4)), (False, (3, 2))])
 def test_jacobi_sweep_never_lowers_kept_weight(sym, dims):
     da, db = dims
@@ -216,12 +231,25 @@ def test_jacobi_sweep_never_lowers_kept_weight(sym, dims):
     m = (w.conj().transpose(0, 2, 1) @ psd_sqrt(rho.mat) @ w).reshape(-1, da, db, da, db)
     kept = np.eye(db) if sym else np.ones((db, db))
     weight = _kept_weight(m, kept)
-    active = np.ones(len(m), dtype=bool)
     for _ in range(10):
-        _sweep(m, ua, ub if sym else None, kept, active)
+        _sweep(m, ua, ub if sym else None, kept)
         new = _kept_weight(m, kept)
         assert np.all(new >= weight - 1e-13)
         weight = new
+
+
+def test_stopped_restarts_leave_the_stack(monkeypatch):
+    # these eight restarts stop at different sweeps; the pair kernel sees only the moving ones
+    rotate, sizes = discord._rotate_pair, []
+
+    def counted(m, *args):
+        sizes.append(len(m))
+        rotate(m, *args)
+
+    monkeypatch.setattr(discord, "_rotate_pair", counted)
+    discord_sym(ginibre_mixed(9, child_rng(77, 0)), (3, 3), restarts=8, seed=0)
+    assert sizes[0] == 8 and sizes[-1] < 8
+    assert all(a >= b for a, b in zip(sizes, sizes[1:]))
 
 
 @pytest.mark.parametrize("d, other", [(3, 2), (4, 3)])
@@ -234,12 +262,11 @@ def test_rotate_pair_views_match_fancy_index_reference(d, other, side):
     m0 = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     u0 = rng.normal(size=(5, d, d)) + 1j * rng.normal(size=(5, d, d))
     kept = np.ones((other, other)) if side == "a" else np.eye(other)
-    active = np.array([True, False, True, True, True])
     view = (lambda a: a) if side == "a" else (lambda a: a.transpose(0, 2, 1, 4, 3))
     for i, j in combinations(range(d), 2):
         m, u, m_ref, u_ref = m0.copy(), u0.copy(), m0.copy(), u0.copy()
-        _rotate_pair(view(m), u, (i, j), kept, active)
-        rotate_pair_fancy(view(m_ref), u_ref, (i, j), kept, active)
+        _rotate_pair(view(m), u, (i, j), kept)
+        rotate_pair_fancy(view(m_ref), u_ref, (i, j), kept)
         assert np.array_equal(m, m_ref) and np.array_equal(u, u_ref)
         rest = [k for k in range(d) if k not in (i, j)]
         assert np.array_equal(view(m)[:, rest][:, :, :, rest], view(m0)[:, rest][:, :, :, rest])

@@ -13,7 +13,7 @@ from cohlab import (
     true_measures,
     validate_density,
 )
-from cohlab.errors import DimensionMismatch, NegativeCount, NotFinite
+from cohlab.errors import CountTooLarge, DimensionMismatch, NegativeCount, NotFinite
 
 from oracles import haar_pure, power_sum_jacobian_inverse_norm
 
@@ -193,6 +193,13 @@ def test_cost_accounting():
 def test_counts_are_positive_integers(call, error):
     with pytest.raises(error):
         call(ginibre_mixed(3, 1))
+
+
+def test_shot_counts_stop_at_the_samplers_int64():
+    rho = ginibre_mixed(2, 0)
+    assert simulate_shots(rho, 2, 2**63 - 1, 0).shots == 2**63 - 1
+    with pytest.raises(CountTooLarge):
+        simulate_shots(rho, 2, 2**63, 0)
 
 
 def test_recover_rejects_empty_power_sums():
